@@ -37,13 +37,8 @@ from tracing import Tracer, per_layer_metrics  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 SETUP_REPS = 7
-END_TO_END_UNITS = {
-    "setup_s": "s",
-    "items_per_s": "1/s",
-    "op_p50_ms": "ms",
-    "op_tail_ms": "ms",
-    "peak_rss_mb": "MB",
-}
+#: Metric names and units, end-to-end and per-layer, as BENCHMARK.json defines them.
+BENCH = json.loads((HERE.parent / "BENCHMARK.json").read_text())
 #: Relative shift of one reference value per check under --perturb-reference.
 PERTURBATION = 1e-6
 
@@ -140,7 +135,7 @@ def run(workload: str, seed: int, seconds: float, trace: bool, fixed_ops: int | 
     failed_ops = {i for i, _ in failures}
     done_items = sum(k for i, k in enumerate(items) if i not in failed_ops)
     if trace:
-        metrics = per_layer_metrics(setup_spans, timed_spans, n)
+        metrics = per_layer_metrics(BENCH["per_layer"], setup_spans, timed_spans, n)
     else:
         values = {
             "setup_s": statistics.median(setup_times),
@@ -149,7 +144,7 @@ def run(workload: str, seed: int, seconds: float, trace: bool, fixed_ops: int | 
             "op_tail_ms": nearest_rank(sorted(latencies), wl.tail_pct) * 1e3,
             "peak_rss_mb": peak_rss_mb,
         }
-        metrics = {k: {"value": v, "unit": END_TO_END_UNITS[k]} for k, v in values.items()}
+        metrics = {m["name"]: {"value": values[m["name"]], "unit": m["unit"]} for m in BENCH["end_to_end"]}
 
     OUT.mkdir(exist_ok=True)
     raw = {

@@ -32,7 +32,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seeds", default="1-10", help="inclusive range, e.g. 1-10")
     parser.add_argument("--workloads", default=",".join(w["name"] for w in bench["workloads"]))
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args()
     (HERE / "out").mkdir(exist_ok=True)
     log = HERE / "out" / "spread.jsonl"
@@ -41,7 +40,7 @@ def main() -> int:
         values, shares = {}, []
         for seed in parse_seeds(args.seeds):
             cmd = bench["command"] + ["--workload", wl, "--seed", str(seed),
-                                      "--seconds", str(bench["run_seconds"]), "--trace", str(args.trace)]
+                                      "--seconds", str(bench["run_seconds"]), "--trace", "0"]
             start = time.perf_counter()
             proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=900)
             wall = time.perf_counter() - start
@@ -57,16 +56,14 @@ def main() -> int:
             print(f"{wl} seed {seed}: wall {wall:.1f} s, attempted {result['attempted']}, "
                   f"failed {result['failed']}, correct {result['correct']}", flush=True)
         print(f"{wl}: failed shares {sorted(set(shares))}")
-        bounds = {m["name"]: m.get("bound") for m in bench["end_to_end"]}
+        bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
         for name, vals in values.items():
             med = statistics.median(vals)
             q1, _, q3 = statistics.quantiles(vals, n=4)
             spread = (q3 - q1) / med if med else float("nan")
-            bound = bounds.get(name)
-            mark = ""
-            if bound is not None and name != "setup_s":
-                mark = "ok" if spread <= bound / 3 else ("within bound" if spread <= bound else "OVER BOUND")
-                worst_ok &= spread <= bound
+            bound = bounds[name]
+            mark = "ok" if spread <= bound / 3 else ("within bound" if spread <= bound else "OVER BOUND")
+            worst_ok &= spread <= bound
             print(f"  {name:<16} median {med:12.5g}  q1 {q1:12.5g}  q3 {q3:12.5g}  "
                   f"spread {spread:7.2%}  bound {bound}  {mark}")
     return 0 if worst_ok else 1

@@ -59,43 +59,6 @@ TRACED = {
     "torus.alpha_eval": None,
 }
 
-#: (metric name, unit) of every per-layer metric, in report order.
-PER_LAYER = [
-    ("cli.main.self_ms", "ms"),
-    ("periods.build_curve.self_ms", "ms"),
-    ("periods.compute_periods.calls", "count"),
-    ("periods.compute_periods.self_ms", "ms"),
-    ("periods.compute_periods.quad_order", "count"),
-    ("bergman.context_from_periods.self_ms", "ms"),
-    ("bergman.bergman_eval.calls", "count"),
-    ("bergman.bergman_eval.self_ms", "ms"),
-    ("bergman.reproducing_element.calls", "count"),
-    ("bergman.reproducing_element.self_ms", "ms"),
-    ("symplectic.duality_maps.calls", "count"),
-    ("symplectic.duality_maps.self_ms", "ms"),
-    ("torelli.theorem_a_check.calls", "count"),
-    ("torelli.theorem_a_check.self_ms", "ms"),
-    ("torelli.qstar_against_kv_check.self_ms", "ms"),
-    ("weierstrass.build_lattice.calls", "count"),
-    ("weierstrass.build_lattice.self_ms", "ms"),
-    ("weierstrass.build_lattice.truncation", "count"),
-    ("weierstrass.build_lattice.tail_terms", "count"),
-    ("weierstrass.wzeta.calls", "count"),
-    ("weierstrass.wzeta.points", "count"),
-    ("weierstrass.wzeta.self_ms", "ms"),
-    ("weierstrass.wp.calls", "count"),
-    ("weierstrass.wp.points", "count"),
-    ("weierstrass.wp.self_ms", "ms"),
-    ("lattice_sums.tail_sums.calls", "count"),
-    ("lattice_sums.tail_sums.terms", "count"),
-    ("lattice_sums.tail_sums.self_ms", "ms"),
-    ("lattice_sums.tail_sums.mterms_per_s", "Mterms/s"),
-    ("torus.random_samples.self_ms", "ms"),
-    ("torus.theorem_b_check.self_ms", "ms"),
-    ("torus.alpha_eval.calls", "count"),
-]
-
-
 class Tracer:
     """Span and counter collector; ``stack`` holds [name, child seconds] frames."""
 
@@ -148,14 +111,19 @@ class Tracer:
         return out
 
 
-def per_layer_metrics(setup: dict, timed: dict, n_ops: int) -> dict:
-    """Per-layer values: one set-up's totals plus the timed phase's totals per operation."""
+def per_layer_metrics(spec: list, setup: dict, timed: dict, n_ops: int) -> dict:
+    """Per-layer values: one set-up's totals plus the timed phase's totals per operation.
+
+    ``spec`` is the ``per_layer`` list of BENCHMARK.json; a metric ``<module>.<function>.<field>``
+    reads the field of that function's span totals.
+    """
 
     def value(name, field):
         return setup.get(name, {}).get(field, 0.0) + timed.get(name, {}).get(field, 0.0) / n_ops
 
     metrics = {}
-    for metric, unit in PER_LAYER:
+    for m in spec:
+        metric, unit = m["name"], m["unit"]
         name, field = metric.rsplit(".", 1)
         if field == "mterms_per_s":
             terms = setup.get(name, {}).get("terms", 0.0) + timed.get(name, {}).get("terms", 0.0)

@@ -252,16 +252,18 @@ class ZetaBatch:
     def _batch(self, rng, j, n):
         r1, r2 = self.shapes[j][:2]
         half = n // 2
-        inside = []
-        while len(inside) < n - half:
+        # n distinct cell points; the last half are moved by lattice vectors, so no two
+        # points of a batch agree modulo the lattice.
+        cell = []
+        while len(cell) < n:
             a, b = rng.uniform(-0.5, 0.5, size=2)
             z = a * r1 + b * r2
             if min(abs(z - m * r1 - k * r2) for m in (-1, 0, 1) for k in (-1, 0, 1)) >= MIN_SEP * abs(r1):
-                inside.append(z)
-        inside = np.array(inside)
+                cell.append(z)
+        cell = np.array(cell)
         shifts = rng.integers(-5, 6, size=(half, 2))
-        moved = inside[:half] + shifts[:, 0] * r1 + shifts[:, 1] * r2
-        z = np.concatenate([inside, moved])
+        moved = cell[n - half:] + shifts[:, 0] * r1 + shifts[:, 1] * r2
+        z = np.concatenate([cell[:n - half], moved])
         order = rng.permutation(n)
         pick = np.concatenate([rng.choice(n - half, self.subsample, replace=False),
                                n - half + rng.choice(half, self.subsample, replace=False)])
