@@ -185,11 +185,6 @@ def bergman_eval(ctx: BergmanContext, u: TangentVector, v: TangentVector, presen
     raise DimensionMismatchError(f"unknown presentation {presentation!r}")
 
 
-def unitary_basis(ctx: BergmanContext) -> np.ndarray:
-    """Change of basis U with U gram U^H = I (deterministic, triangular)."""
-    return ctx.unitary_change
-
-
 def three_presentation_values(ctx: BergmanContext, u: TangentVector, v: TangentVector) -> dict[str, complex]:
     out = {"gram": bergman_eval(ctx, u, v, "gram"), "unitary": bergman_eval(ctx, u, v, "unitary")}
     if ctx.pd is not None:

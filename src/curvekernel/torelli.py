@@ -69,8 +69,8 @@ def schiffer_cup(xi: SchifferVariation, omega) -> np.ndarray:
     return -2 * np.pi * value * np.conj(k_u.coeffs)
 
 
-def pairing_2k(beta_eval: complex, xi: SchifferVariation) -> complex:
-    """Pairing of a quadratic differential (given by its value at u) with xi."""
+def pairing_2k(beta_eval: complex) -> complex:
+    """Pairing of a quadratic differential, given by its value at u, with xi_u."""
     return 2j * np.pi * beta_eval
 
 

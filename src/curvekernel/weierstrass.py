@@ -101,18 +101,21 @@ class LatticeContext:
     _coord: np.ndarray = field(repr=False, default=None)
 
 
-def build_lattice(
-    omega1,
-    omega2,
-    truncation: int = 64,
-    max_truncation: int = 512,
-    stability_tol: float = DOUBLING_TOL,
-) -> LatticeContext:
+def _level(r1: complex, r2: complex, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Grid of truncation ``n``, its bootstrap solution and its probe sums."""
+    grid = _grid(r1, r2, n)
+    probe = np.array([0.31 * r1 + 0.17 * r2, -0.22 * r1 + 0.41 * r2])
+    return grid, _bootstrap(r1, r2, grid), np.concatenate(tail_sums(probe, grid))
+
+
+def build_lattice(omega1, omega2, truncation: int = 64, max_truncation: int = 512) -> LatticeContext:
     """Configure zeta/p evaluators for Z omega1 + Z omega2.
 
     The truncation doubles from the requested value until the bootstrap
-    output and probe evaluations are stable to ``stability_tol``; failure
-    to stabilize below ``max_truncation`` raises ``TruncationError``.
+    output and probe evaluations are stable to ``DOUBLING_TOL``; failure
+    to stabilize below ``max_truncation`` raises ``TruncationError``. Each
+    level is computed once: the finer level of one comparison is the
+    coarser level of the next.
     """
     w1, w2 = complex(omega1), complex(omega2)
     if abs(w1) == 0 or abs(w2) == 0 or abs((w2 / w1).imag) < 1e-12:
@@ -121,25 +124,19 @@ def build_lattice(
         raise LatticeError("orientation: require Im(omega2/omega1) > 0")
     r1, r2, tmat = _reduce_pair(w1, w2)
     n = max(8, int(truncation))
+    grid, sol, probe = _level(r1, r2, n)
     while True:
-        sol = _bootstrap(r1, r2, _grid(r1, r2, n))
-        sol2 = _bootstrap(r1, r2, _grid(r1, r2, 2 * n))
-        probe = np.array([0.31 * r1 + 0.17 * r2, -0.22 * r1 + 0.41 * r2])
-        sz1, sp1 = tail_sums(probe, _grid(r1, r2, n))
-        sz2, sp2 = tail_sums(probe, _grid(r1, r2, 2 * n))
-        drift = max(
-            np.abs(sol - sol2).max(),
-            np.abs(sz1 - sz2).max(),
-            np.abs(sp1 - sp2).max(),
-        )
-        if drift <= stability_tol:
+        fine_grid, fine_sol, fine_probe = _level(r1, r2, 2 * n)
+        drift = max(np.abs(sol - fine_sol).max(), np.abs(probe - fine_probe).max())
+        if drift <= DOUBLING_TOL:
             break
         if 2 * n > max_truncation:
             raise TruncationError(
-                f"lattice sums not stable at truncation {n} (drift {drift:.3e} > {stability_tol:g})"
+                f"lattice sums not stable at truncation {n} (drift {drift:.3e} > {DOUBLING_TOL:g})"
             )
+        grid, sol, probe = fine_grid, fine_sol, fine_probe
         n *= 2
-    eta_r1, eta_r2, g4, g6 = _bootstrap(r1, r2, _grid(r1, r2, 2 * n))
+    eta_r1, eta_r2, g4, g6 = fine_sol
     # quasi-periods are additive over the lattice: transport to the input pair
     eta1 = tmat[0, 0] * eta_r1 + tmat[0, 1] * eta_r2
     eta2 = tmat[1, 0] * eta_r1 + tmat[1, 1] * eta_r2
@@ -161,7 +158,7 @@ def build_lattice(
         _r1=r1,
         _r2=r2,
         _eta_r=(complex(eta_r1), complex(eta_r2)),
-        _grid_pts=_grid(r1, r2, n),
+        _grid_pts=grid,
         _coord=coord,
     )
 

@@ -1,0 +1,39 @@
+from __future__ import annotations
+
+import mpmath as mp
+import numpy as np
+from numpy.testing import assert_allclose
+
+from curvekernel import lattice_sums, weierstrass
+
+
+def _series(z, grid):
+    """Un-telescoped zeta and p summands, summed over the grid at 30 digits."""
+    with mp.workdps(30):
+        z = mp.mpc(z)
+        s_zeta = s_wp = mp.mpc(0)
+        for w in grid:
+            w = mp.mpc(w)
+            s_zeta += 1 / (z - w) + sum(z**k / w ** (k + 1) for k in range(6))
+            s_wp += 1 / (z - w) ** 2 - sum(k * z ** (k - 1) / w ** (k + 1) for k in range(1, 6))
+        return complex(s_zeta), complex(s_wp)
+
+
+def test_tail_sums_match_explicit_series():
+    grid = weierstrass._grid(1.0, 0.3 + 1.1j, 8)
+    rng = np.random.default_rng(0)
+    z = rng.uniform(-0.6, 0.6, size=20) + 1j * rng.uniform(-0.6, 0.6, size=20)
+    sz, sp = lattice_sums.tail_sums(z, grid)
+    ref = np.array([_series(zi, grid) for zi in z])
+    assert_allclose(sz, ref[:, 0], rtol=0, atol=1e-13)
+    assert_allclose(sp, ref[:, 1], rtol=0, atol=1e-13)
+
+
+def test_shape_preservation():
+    grid = weierstrass._grid(1.0, 0.3 + 1.1j, 8)
+    z = np.array([[0.2 + 0.1j, 0.3 - 0.2j]])
+    sz, sp = lattice_sums.tail_sums(z, grid)
+    assert sz.shape == z.shape
+    assert sp.shape == z.shape
+    # a point's sums do not depend on the other points of the call
+    assert (sz[0, 1], sp[0, 1]) == lattice_sums.tail_sums(z[0, 1], grid)

@@ -59,17 +59,14 @@ class TestSchifferCup:
 
 
 class TestPairing2K:
-    def test_zero(self, g1_ctx):
-        xi = torelli.SchifferVariation(context=g1_ctx, u=None)
-        assert torelli.pairing_2k(0.0, xi) == 0
+    def test_zero(self):
+        assert torelli.pairing_2k(0.0) == 0
 
-    def test_unit(self, g1_ctx):
-        xi = torelli.SchifferVariation(context=g1_ctx, u=None)
-        assert torelli.pairing_2k(1.0, xi) == pytest.approx(2j * np.pi)
+    def test_unit(self):
+        assert torelli.pairing_2k(1.0) == pytest.approx(2j * np.pi)
 
-    def test_linear(self, g1_ctx):
-        xi = torelli.SchifferVariation(context=g1_ctx, u=None)
-        assert torelli.pairing_2k(3.0 - 1.0j, xi) == pytest.approx((3.0 - 1.0j) * 2j * np.pi)
+    def test_linear(self):
+        assert torelli.pairing_2k(3.0 - 1.0j) == pytest.approx((3.0 - 1.0j) * 2j * np.pi)
 
 
 class TestBtilde:

@@ -59,6 +59,22 @@ class TestBuildLattice:
         with pytest.raises(TruncationError):
             ws.build_lattice(1.0, 1j, truncation=8, max_truncation=8)
 
+    @pytest.mark.parametrize(
+        "w2,levels", [(0.3 + 1.1j, [64, 128]), (3.5j, [64, 128, 256])], ids=["generic", "thin"]
+    )
+    def test_each_level_built_once(self, monkeypatch, w2, levels):
+        built = []
+        grid = ws._grid
+
+        def recording_grid(r1, r2, n):
+            built.append(n)
+            return grid(r1, r2, n)
+
+        monkeypatch.setattr(ws, "_grid", recording_grid)
+        lat = ws.build_lattice(1.0, w2)
+        assert built == levels
+        assert lat.truncation == levels[-2]
+
     def test_single_valuedness_system(self, generic_lattice):
         lat = generic_lattice
         for wk, etak in ((lat.omega1, lat.eta1), (lat.omega2, lat.eta2)):
