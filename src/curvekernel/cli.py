@@ -39,10 +39,10 @@ def _load_curve_spec(spec: str) -> dict:
     return data
 
 
-def _curve_periods(args) -> periods.PeriodData:
+def _curve_periods(args) -> tuple[dict, periods.PeriodData]:
     spec = _load_curve_spec(args.curve)
     curve = periods.build_curve(spec["f_coeffs"])
-    return periods.compute_periods(curve, quad_order=args.quad_order)
+    return spec, periods.compute_periods(curve, quad_order=args.quad_order)
 
 
 def _parse_lattice(text: str) -> tuple[complex, complex]:
@@ -69,10 +69,10 @@ def _emit(report: dict, fmt: str, matrix_key: str = "Z") -> None:
 
 
 def cmd_periods(args) -> int:
-    pd = _curve_periods(args)
+    spec, pd = _curve_periods(args)
     report = {
         "command": "periods",
-        "inputs": {"curve": _load_curve_spec(args.curve), "quad_order": args.quad_order},
+        "inputs": {"curve": spec, "quad_order": args.quad_order},
         "results": {
             "A": _matrix_json(pd.A),
             "B": _matrix_json(pd.B),
@@ -89,12 +89,12 @@ def cmd_periods(args) -> int:
 
 
 def cmd_gram(args) -> int:
-    pd = _curve_periods(args)
+    spec, pd = _curve_periods(args)
     ctx = bergman.context_from_periods(pd)
     identity_residual = float(np.linalg.norm(ctx.gram - 2 * pd.Z.imag))
     report = {
         "command": "gram",
-        "inputs": {"curve": _load_curve_spec(args.curve), "quad_order": args.quad_order},
+        "inputs": {"curve": spec, "quad_order": args.quad_order},
         "results": {"Z": _matrix_json(pd.Z), "gram": _matrix_json(ctx.gram)},
         "residuals": {
             "riemann_residual": pd.riemann_residual,
@@ -107,7 +107,7 @@ def cmd_gram(args) -> int:
 
 
 def cmd_bergman_eval(args) -> int:
-    pd = _curve_periods(args)
+    spec, pd = _curve_periods(args)
     ctx = bergman.context_from_periods(pd)
     xu, su, lu = _parse_point(args.u)
     xv, sv, lv = _parse_point(args.v)
@@ -117,7 +117,7 @@ def cmd_bergman_eval(args) -> int:
     residual = bergman.three_presentation_residual(ctx, u, v)
     report = {
         "command": "bergman-eval",
-        "inputs": {"curve": _load_curve_spec(args.curve), "u": args.u, "v": args.v},
+        "inputs": {"curve": spec, "u": args.u, "v": args.v},
         "results": {name: _complex_json(val) for name, val in vals.items()},
         "residuals": {"presentation_spread": residual},
         "pass": bool(residual <= args.tol),
@@ -127,7 +127,7 @@ def cmd_bergman_eval(args) -> int:
 
 
 def cmd_verify_theorem_a(args) -> int:
-    pd = _curve_periods(args)
+    spec, pd = _curve_periods(args)
     ctx = bergman.context_from_periods(pd)
     rng = np.random.default_rng(args.seed)
     curve = pd.curve
@@ -151,7 +151,7 @@ def cmd_verify_theorem_a(args) -> int:
         "command": "verify",
         "inputs": {
             "suite": "theorem-a",
-            "curve": _load_curve_spec(args.curve),
+            "curve": spec,
             "trials": args.trials,
             "tol": args.tol,
             "seed": args.seed,

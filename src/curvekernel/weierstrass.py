@@ -15,7 +15,10 @@ Evaluation strategy, entirely lattice-sum based:
    points: each equation is linear in (eta_1, eta_2, G4, G6) once zeta is
    written as 1/z + tail - G4 z^3 - G6 z^5.
 4. The truncation radius doubles until two successive evaluations agree to
-   the stability target, which certifies the accuracy internally.
+   the stability target, which certifies the accuracy internally. This is
+   done on the reduced pair divided by the shortest generator length s, so
+   the drift is dimensionless (eta and zeta in units of 1/s, p of 1/s^2, G4
+   of 1/s^4, G6 of 1/s^6) and a rescaled lattice stops at the same truncation.
 
 The Legendre relation eta_1 w_2 - eta_2 w_1 = 2 pi i is never used as an
 input; it emerges (and is pinned in the tests) as a consistency check.
@@ -101,21 +104,21 @@ class LatticeContext:
     _coord: np.ndarray = field(repr=False, default=None)
 
 
-def _level(r1: complex, r2: complex, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Grid of truncation ``n``, its bootstrap solution and its probe sums."""
+def _level(r1: complex, r2: complex, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grid of truncation ``n``; its bootstrap solution followed by its probe sums."""
     grid = _grid(r1, r2, n)
     probe = np.array([0.31 * r1 + 0.17 * r2, -0.22 * r1 + 0.41 * r2])
-    return grid, _bootstrap(r1, r2, grid), np.concatenate(tail_sums(probe, grid))
+    return grid, np.concatenate([_bootstrap(r1, r2, grid), *tail_sums(probe, grid)])
 
 
 def build_lattice(omega1, omega2, truncation: int = 64, max_truncation: int = 512) -> LatticeContext:
     """Configure zeta/p evaluators for Z omega1 + Z omega2.
 
     The truncation doubles from the requested value until the bootstrap
-    output and probe evaluations are stable to ``DOUBLING_TOL``; failure
-    to stabilize below ``max_truncation`` raises ``TruncationError``. Each
-    level is computed once: the finer level of one comparison is the
-    coarser level of the next.
+    output and probe evaluations of the unit-scale lattice are stable to
+    ``DOUBLING_TOL``; failure to stabilize below ``max_truncation`` raises
+    ``TruncationError``. Each level is computed once: the finer level of
+    one comparison is the coarser level of the next.
     """
     w1, w2 = complex(omega1), complex(omega2)
     if abs(w1) == 0 or abs(w2) == 0 or abs((w2 / w1).imag) < 1e-12:
@@ -123,20 +126,22 @@ def build_lattice(omega1, omega2, truncation: int = 64, max_truncation: int = 51
     if (w2 / w1).imag < 0:
         raise LatticeError("orientation: require Im(omega2/omega1) > 0")
     r1, r2, tmat = _reduce_pair(w1, w2)
+    # certify on the unit-scale copy (r1, r2) / s; eta scales back by 1/s, G4 by s^-4, G6 by s^-6
+    s = min(abs(r1), abs(r2))
     n = max(8, int(truncation))
-    grid, sol, probe = _level(r1, r2, n)
+    grid, vals = _level(r1 / s, r2 / s, n)
     while True:
-        fine_grid, fine_sol, fine_probe = _level(r1, r2, 2 * n)
-        drift = max(np.abs(sol - fine_sol).max(), np.abs(probe - fine_probe).max())
+        fine_grid, fine_vals = _level(r1 / s, r2 / s, 2 * n)
+        drift = np.abs(vals - fine_vals).max()
         if drift <= DOUBLING_TOL:
             break
         if 2 * n > max_truncation:
             raise TruncationError(
                 f"lattice sums not stable at truncation {n} (drift {drift:.3e} > {DOUBLING_TOL:g})"
             )
-        grid, sol, probe = fine_grid, fine_sol, fine_probe
+        grid, vals = fine_grid, fine_vals
         n *= 2
-    eta_r1, eta_r2, g4, g6 = fine_sol
+    eta_r1, eta_r2, g4, g6 = fine_vals[:4] / np.array([s, s, s**4, s**6])
     # quasi-periods are additive over the lattice: transport to the input pair
     eta1 = tmat[0, 0] * eta_r1 + tmat[0, 1] * eta_r2
     eta2 = tmat[1, 0] * eta_r1 + tmat[1, 1] * eta_r2
@@ -158,7 +163,7 @@ def build_lattice(omega1, omega2, truncation: int = 64, max_truncation: int = 51
         _r1=r1,
         _r2=r2,
         _eta_r=(complex(eta_r1), complex(eta_r2)),
-        _grid_pts=grid,
+        _grid_pts=s * grid,
         _coord=coord,
     )
 
@@ -174,30 +179,32 @@ def _reduce_points(lat: LatticeContext, z: np.ndarray):
     return zr, m, k
 
 
+def _cell_eval(lat: LatticeContext, z, formula):
+    """``formula(zr, m, k, s_zeta, s_p)`` for z = zr + m r1 + k r2 with zr in the cell.
+
+    One ``tail_sums`` call gives s_zeta and s_p. The result is shaped like
+    ``z``; a scalar ``z`` gives a Python complex.
+    """
+    z = np.asarray(z, dtype=complex)
+    zr, m, k = _reduce_points(lat, z)
+    vals = formula(zr, m, k, *tail_sums(zr, lat._grid_pts)).reshape(z.shape)
+    return complex(vals) if z.ndim == 0 else vals
+
+
 def wzeta(lat: LatticeContext, z):
     """Weierstrass zeta on the lattice, vectorized over z."""
-    z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    zr, m, k = _reduce_points(lat, np.atleast_1d(z))
-    s_zeta, _ = tail_sums(zr, lat._grid_pts)
-    vals = (
-        1 / zr
-        + s_zeta
-        - lat.eisenstein4 * zr**3
-        - lat.eisenstein6 * zr**5
-        + m * lat._eta_r[0]
-        + k * lat._eta_r[1]
-    )
-    vals = vals.reshape(np.atleast_1d(z).shape)
-    return complex(vals[0]) if scalar else vals
+
+    def zeta(zr, m, k, s_zeta, _):
+        g4, g6 = lat.eisenstein4, lat.eisenstein6
+        return 1 / zr + s_zeta - g4 * zr**3 - g6 * zr**5 + m * lat._eta_r[0] + k * lat._eta_r[1]
+
+    return _cell_eval(lat, z, zeta)
 
 
 def wp(lat: LatticeContext, z):
     """Weierstrass p function on the lattice, vectorized over z."""
-    z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    zr, _, _ = _reduce_points(lat, np.atleast_1d(z))
-    _, s_p = tail_sums(zr, lat._grid_pts)
-    vals = 1 / zr**2 + s_p + 3 * lat.eisenstein4 * zr**2 + 5 * lat.eisenstein6 * zr**4
-    vals = vals.reshape(np.atleast_1d(z).shape)
-    return complex(vals[0]) if scalar else vals
+
+    def p(zr, m, k, _, s_p):
+        return 1 / zr**2 + s_p + 3 * lat.eisenstein4 * zr**2 + 5 * lat.eisenstein6 * zr**4
+
+    return _cell_eval(lat, z, p)

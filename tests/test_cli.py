@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,6 +158,21 @@ class TestVerifyCommands:
         assert code == 0
         assert json.loads(out)["pass"] is True
 
+    def test_theorem_b_scale_free(self, capsys):
+        # (0.25, 0.5i) is (1, 2i) scaled by 1/4: the finite-difference residual
+        # is dimensionless, so both give the same value and the same verdict
+        code, out, _ = run_cli(
+            capsys, "verify", "theorem-b", "--lattice", "0.25,0,0,0.5", "--samples", "10"
+        )
+        assert code == 0
+        small = json.loads(out)
+        _, out, _ = run_cli(capsys, "verify", "theorem-b", "--lattice", "1,0,0,2", "--samples", "10")
+        ref = json.loads(out)
+        assert small["pass"] is True
+        assert small["residuals"]["max_residual_fd"] == pytest.approx(
+            ref["residuals"]["max_residual_fd"], rel=1e-6
+        )
+
     def test_bad_lattice_is_input_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "theorem-b", "--lattice", "1,0,2,0")
         assert code == 2
@@ -197,11 +214,15 @@ class TestDeterminism:
 
 
 def test_module_entry_point():
+    # the child process imports the same package as this test, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "curvekernel.cli", "periods", "--curve", G1_SPEC],
         capture_output=True,
         text=True,
         timeout=120,
+        env=env,
     )
     assert proc.returncode == 0
     report = json.loads(proc.stdout)

@@ -174,6 +174,83 @@ class TestTheoremB:
         assert report.max_residual_dbar <= 1e-12 * max(1.0, abs(c2))
 
 
+def reference_residuals(lat, samples):
+    """Per-sample theorem-B residuals from scalar calls, one sample at a time.
+
+    The finite differences are taken of ``alpha_eval`` with one tangent slot
+    frozen at 0, with step 1e-4 s and residuals times s^2 (s the cell scale).
+    """
+    ev = torus.EtaEvaluator(lattice=lat)
+    ctx = torus.torus_bergman_context(lat)
+    s = min(abs(lat._r1), abs(lat._r2))
+    h = 1e-4 * s
+
+    def wirtinger(fn, z0):
+        fr = (fn(z0 + h) - fn(z0 - h)) / (2 * h)
+        fi = (fn(z0 + 1j * h) - fn(z0 - 1j * h)) / (2 * h)
+        return (fr - 1j * fi) / 2, (fr + 1j * fi) / 2
+
+    rows = []
+    for zp, zq, lam_u, lam_v in samples:
+        eta_pq = torus.eta_hat_eval(ev, zp, zq, lam_u, lam_v)
+        d_side = 2 * eta_pq - torus.eta_hat_eval(ev, zq, zp, lam_u, lam_v)
+        dbar_side = -lat.c2 * lam_u * np.conj(lam_v)
+        u, v = torus.torus_tangent(zp, lam_u), torus.torus_tangent(zq, lam_v)
+        kernel_side = -2 * np.pi * bergman.bergman_eval(ctx, u, v)
+        dz_b, _ = wirtinger(lambda x: torus.alpha_eval(ev, x, zq, 0.0, lam_v), zp)
+        dz_a, dzbar_a = wirtinger(lambda y: torus.alpha_eval(ev, zp, y, lam_u, 0.0), zq)
+        rows.append(
+            [
+                abs(d_side - eta_pq),
+                abs(dbar_side - kernel_side),
+                abs(lam_u * dz_b - lam_v * dz_a - d_side) * s**2,
+                abs(-np.conj(lam_v) * dzbar_a - dbar_side) * s**2,
+            ]
+        )
+    return np.array(rows)
+
+
+@pytest.fixture(scope="module")
+def quarter_lattice():
+    # (1, 2i) scaled by 1/4: exercises the cell scale s != 1
+    return weierstrass.build_lattice(0.25, 0.5j)
+
+
+class TestBatchedTheoremB:
+    @pytest.mark.parametrize("fixture", LATTICE_FIXTURES + ["quarter_lattice"])
+    def test_matches_per_sample_reference(self, fixture, request):
+        lat = request.getfixturevalue(fixture)
+        samples = torus.random_samples(lat, 20, np.random.default_rng(0))
+        report = torus.theorem_b_check(torus.EtaEvaluator(lattice=lat), samples)
+        got = np.array(
+            [[s.residual_d, s.residual_dbar, s.residual_fd_d, s.residual_fd_dbar] for s in report.samples]
+        )
+        np.testing.assert_allclose(got, reference_residuals(lat, samples), rtol=0, atol=1e-11)
+        assert [(s.zp, s.zq, s.lam_u, s.lam_v) for s in report.samples] == samples
+        assert report.max_residual_d == got[:, 0].max()
+        assert report.max_residual_dbar == got[:, 1].max()
+        assert report.max_residual_fd == got[:, 2:].max()
+
+    def test_one_wp_and_one_wzeta_call(self, generic_lattice, monkeypatch):
+        calls = {"wp": 0, "wzeta": 0}
+        for name in calls:
+
+            def counting(*args, _name=name, _fn=getattr(torus, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(torus, name, counting)
+        samples = torus.random_samples(generic_lattice, 50, np.random.default_rng(0))
+        torus.theorem_b_check(torus.EtaEvaluator(lattice=generic_lattice), samples)
+        assert calls == {"wp": 1, "wzeta": 1}
+
+    def test_sample_on_lattice_translate_of_diagonal_rejected(self, square_lattice):
+        zp = 0.1 + 0.2j
+        samples = [(0.3 - 0.1j, 0.4j, 1.0, 1.0), (zp, zp + square_lattice.omega1, 0.5, -0.7j)]
+        with pytest.raises(PoleError):
+            torus.theorem_b_check(torus.EtaEvaluator(lattice=square_lattice), samples)
+
+
 class TestCrossModelConsistency:
     def test_square_lattice_matches_cubic_curve(self, square_lattice, g1_pd):
         """The unit square torus and y^2 = x^3 - x carry the same kernel.

@@ -75,6 +75,19 @@ class TestBuildLattice:
         assert built == levels
         assert lat.truncation == levels[-2]
 
+    @pytest.mark.parametrize(
+        "scale,w2", [(0.25, 1j), (0.25, 2j), (0.01, 2j), (100.0, 2j)], ids=["square", "rect", "small", "large"]
+    )
+    def test_truncation_is_scale_free(self, scale, w2):
+        # a rescaled lattice has the same shape: it certifies at the same
+        # truncation, with the same dimensionless eta w1, G4 w1^4 and G6 w1^6
+        lat = ws.build_lattice(scale, scale * w2)
+        ref = ws.build_lattice(1.0, w2)
+        assert lat.truncation == ref.truncation == 64
+        assert lat.eta1 * lat.omega1 == pytest.approx(ref.eta1 * ref.omega1, abs=1e-12)
+        assert lat.eisenstein4 * lat.omega1**4 == pytest.approx(ref.eisenstein4 * ref.omega1**4, abs=1e-12)
+        assert lat.eisenstein6 * lat.omega1**6 == pytest.approx(ref.eisenstein6 * ref.omega1**6, abs=1e-12)
+
     def test_single_valuedness_system(self, generic_lattice):
         lat = generic_lattice
         for wk, etak in ((lat.omega1, lat.eta1), (lat.omega2, lat.eta2)):
