@@ -13,6 +13,9 @@ value at a pair of tangent vectors and the tests pin their agreement:
 * ``unitary``: plain sum over a unitarized basis;
 * ``normalized``: (1/2) conj(e~(v)) . (Im Z)^{-1} . e~(u) in the
   a-normalized basis (requires period data).
+
+All evaluation is batched: tangents of shape (...) give basis values of shape
+(..., g) and kernel values of shape (...); a scalar tangent gives a complex.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatchError, SingularSystemError
-from .periods import PeriodData, TangentVector, raw_differential_eval
+from .periods import PeriodData, TangentVector, normalized_differential_eval, raw_differential_eval
 from .symplectic import DualityMaps, duality_maps, make_standard_space, qstar_pairing
 
 
@@ -30,7 +33,7 @@ from .symplectic import DualityMaps, duality_maps, make_standard_space, qstar_pa
 class BergmanContext:
     """Gram data of a working basis of holomorphic differentials.
 
-    ``eval_basis`` maps a tangent vector to the vector of basis values;
+    ``eval_basis`` maps tangents of shape (...) to basis values (..., g);
     ``period_rows`` (g x 2g, rows = period vectors of the basis) is present
     for curve-backed contexts and None for directly presented ones.
     """
@@ -45,13 +48,13 @@ class BergmanContext:
     maps: DualityMaps | None = field(default=None, repr=False)
 
 
-def _unitary_from_gram(gram: np.ndarray) -> np.ndarray:
-    """Row-operation matrix U with U gram U^H = I (inverse Cholesky factor)."""
+def _gram_fields(gram: np.ndarray) -> dict:
+    """Gram matrix, its inverse and U with U gram U^H = I (inverse Cholesky factor)."""
     try:
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as err:
         raise SingularSystemError("Gram matrix is not positive definite") from err
-    return np.linalg.inv(chol)
+    return {"gram": gram, "gram_inv": np.linalg.inv(gram), "unitary_change": np.linalg.inv(chol)}
 
 
 def context_from_periods(pd: PeriodData, basis="normalized") -> BergmanContext:
@@ -79,14 +82,11 @@ def context_from_periods(pd: PeriodData, basis="normalized") -> BergmanContext:
     gram = (gram + gram.conj().T) / 2
 
     def eval_basis(u: TangentVector) -> np.ndarray:
-        raw = np.array([raw_differential_eval(pd.curve, k, u) for k in range(1, g + 1)])
-        return W @ raw
+        return raw_differential_eval(pd.curve, u) @ W.T
 
     return BergmanContext(
         g=g,
-        gram=gram,
-        gram_inv=np.linalg.inv(gram),
-        unitary_change=_unitary_from_gram(gram),
+        **_gram_fields(gram),
         eval_basis=eval_basis,
         pd=pd,
         period_rows=period_rows,
@@ -97,13 +97,7 @@ def context_from_periods(pd: PeriodData, basis="normalized") -> BergmanContext:
 def context_from_gram(gram, eval_basis: Callable[[TangentVector], np.ndarray]) -> BergmanContext:
     """Context for a directly presented Hermitian product (e.g. a torus)."""
     gram = np.asarray(gram, dtype=complex)
-    return BergmanContext(
-        g=gram.shape[0],
-        gram=gram,
-        gram_inv=np.linalg.inv(gram),
-        unitary_change=_unitary_from_gram(gram),
-        eval_basis=eval_basis,
-    )
+    return BergmanContext(g=gram.shape[0], **_gram_fields(gram), eval_basis=eval_basis)
 
 
 def class_period_vector(ctx: BergmanContext, coeffs, conjugated: bool = False) -> np.ndarray:
@@ -115,8 +109,9 @@ def class_period_vector(ctx: BergmanContext, coeffs, conjugated: bool = False) -
     return vec.conj() if conjugated else vec
 
 
-def evaluate_class(ctx: BergmanContext, coeffs, u: TangentVector) -> complex:
-    return complex(np.asarray(coeffs, dtype=complex) @ ctx.eval_basis(u))
+def evaluate_class(ctx: BergmanContext, coeffs, u: TangentVector):
+    """Value on u of the class with working-basis coefficients (..., g)."""
+    return np.sum(np.asarray(coeffs, dtype=complex) * ctx.eval_basis(u), -1)
 
 
 def hodge_product(ctx: BergmanContext, alpha, beta) -> complex:
@@ -156,33 +151,25 @@ class ReproducingElement:
 
 
 def reproducing_element(ctx: BergmanContext, u: TangentVector) -> ReproducingElement:
-    evals = ctx.eval_basis(u)
-    try:
-        coeffs = np.conj(np.linalg.solve(ctx.gram, evals))
-    except np.linalg.LinAlgError as err:
-        raise SingularSystemError("Gram matrix singular (internal inconsistency)") from err
-    return ReproducingElement(context=ctx, u=u, coeffs=coeffs)
+    """k_u = conj(G^{-1} e(u)), coefficients of shape (..., g)."""
+    return ReproducingElement(context=ctx, u=u, coeffs=np.conj(ctx.eval_basis(u) @ ctx.gram_inv.T))
 
 
-def bergman_eval(ctx: BergmanContext, u: TangentVector, v: TangentVector, presentation: str = "gram") -> complex:
-    """Kernel value at ((u, 0), (0, conj v)); equals k_v(u)."""
-    eu = ctx.eval_basis(u)
-    ev = ctx.eval_basis(v)
+def bergman_eval(ctx: BergmanContext, u: TangentVector, v: TangentVector, presentation: str = "gram"):
+    """Kernel value at ((u, 0), (0, conj v)); equals k_v(u). It is conj(e(v)) M e(u)."""
     if presentation == "gram":
-        return complex(ev.conj() @ ctx.gram_inv @ eu)
-    if presentation == "unitary":
-        uu = ctx.unitary_change @ eu
-        uv = ctx.unitary_change @ ev
-        return complex(uv.conj() @ uu)
-    if presentation == "normalized":
+        M, eu, ev = ctx.gram_inv, ctx.eval_basis(u), ctx.eval_basis(v)
+    elif presentation == "unitary":
+        change = ctx.unitary_change.T
+        M, eu, ev = np.eye(ctx.g), ctx.eval_basis(u) @ change, ctx.eval_basis(v) @ change
+    elif presentation == "normalized":
         if ctx.pd is None:
             raise DimensionMismatchError("normalized presentation requires period data")
-        raw_u = np.array([raw_differential_eval(ctx.pd.curve, k, u) for k in range(1, ctx.g + 1)])
-        raw_v = np.array([raw_differential_eval(ctx.pd.curve, k, v) for k in range(1, ctx.g + 1)])
-        nu = ctx.pd.N @ raw_u
-        nv = ctx.pd.N @ raw_v
-        return complex(0.5 * nv.conj() @ np.linalg.inv(ctx.pd.Z.imag) @ nu)
-    raise DimensionMismatchError(f"unknown presentation {presentation!r}")
+        M = 0.5 * np.linalg.inv(ctx.pd.Z.imag)
+        eu, ev = normalized_differential_eval(ctx.pd, u), normalized_differential_eval(ctx.pd, v)
+    else:
+        raise DimensionMismatchError(f"unknown presentation {presentation!r}")
+    return np.sum((ev.conj() @ M) * eu, -1)
 
 
 def three_presentation_values(ctx: BergmanContext, u: TangentVector, v: TangentVector) -> dict[str, complex]:

@@ -20,6 +20,10 @@ is analytic on the closed segment so convergence is spectral.
 None of this bookkeeping is trusted blindly: every computed period matrix
 must pass the Riemann-relation certificate (Z symmetric, Im Z positive
 definite) or ``compute_periods`` raises ``RiemannRelationError``.
+
+Curve points and tangent vectors may hold arrays of one shape (...), each
+point validated; ``raw_differential_eval`` and ``normalized_differential_eval``
+give all g differential values at once, shape (..., g), as one Vandermonde row.
 """
 from __future__ import annotations
 
@@ -36,10 +40,14 @@ from .errors import (
     SingularSystemError,
 )
 
-#: Default |y| below which differential evaluation is refused.
+#: |y| at or below which a curve point is refused as too close to a branch point.
 BRANCH_EXCLUSION = 1e-6
-#: Default Frobenius-norm tolerance on Z - Z^T.
+#: Frobenius-norm tolerance on Z - Z^T.
 TOL_RIEMANN = 1e-8
+#: Roots of f closer than this make it non-squarefree at working precision.
+_MIN_ROOT_GAP = 1e-8
+#: Roots of f with a larger imaginary part are taken as non-real.
+_ROOT_IMAG_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +70,7 @@ class HyperellipticCurve:
         return np.polynomial.polynomial.polyval(x, np.asarray(self.f_coeffs))
 
 
-def build_curve(f_coeffs, min_root_gap: float = 1e-8, imag_tol: float = 1e-9) -> HyperellipticCurve:
+def build_curve(f_coeffs) -> HyperellipticCurve:
     coeffs = [float(c) for c in f_coeffs]
     while coeffs and coeffs[-1] == 0.0:
         coeffs.pop()
@@ -70,12 +78,12 @@ def build_curve(f_coeffs, min_root_gap: float = 1e-8, imag_tol: float = 1e-9) ->
     if deg < 3:
         raise DegreeError(f"degree must be at least 3, got {deg}")
     roots = np.polynomial.polynomial.polyroots(coeffs)
-    if np.abs(roots.imag).max() > imag_tol:
+    if np.abs(roots.imag).max() > _ROOT_IMAG_TOL:
         raise RootConfigurationError("f has non-real roots; only real branch points are supported")
     roots = np.sort(roots.real)
-    if np.diff(roots).min() <= min_root_gap:
+    if np.diff(roots).min() <= _MIN_ROOT_GAP:
         raise RootConfigurationError(
-            f"f is not squarefree at working precision (min root gap <= {min_root_gap:g})"
+            f"f is not squarefree at working precision (min root gap <= {_MIN_ROOT_GAP:g})"
         )
     g = (deg - 1) // 2
     return HyperellipticCurve(f_coeffs=tuple(coeffs), roots=roots, g=g)
@@ -83,41 +91,44 @@ def build_curve(f_coeffs, min_root_gap: float = 1e-8, imag_tol: float = 1e-9) ->
 
 @dataclass(frozen=True)
 class CurvePoint:
-    """A point (x, y) with the sheet recording the chosen branch of sqrt f."""
+    """A point (x, y) with the sheet recording the chosen branch of sqrt f; or a batch of them."""
 
-    x: complex
-    sheet: int
-    y: complex
+    x: complex | np.ndarray
+    sheet: int | np.ndarray
+    y: complex | np.ndarray
 
 
-def curve_point(curve: HyperellipticCurve, x, sheet: int = 1, exclusion: float = BRANCH_EXCLUSION) -> CurvePoint:
-    if sheet not in (1, -1):
-        raise DimensionMismatchError(f"sheet must be +1 or -1, got {sheet}")
-    y = sheet * np.sqrt(complex(curve.f(complex(x))))
-    if abs(y) <= exclusion:
+def curve_point(curve: HyperellipticCurve, x, sheet=1) -> CurvePoint:
+    """The points over x on the given sheets; x and sheet broadcast to one shape."""
+    x, sheet = np.broadcast_arrays(np.asarray(x, dtype=complex), np.asarray(sheet))
+    bad = (sheet != 1) & (sheet != -1)
+    if bad.any():
+        raise DimensionMismatchError(f"sheet must be +1 or -1, got {sheet[bad][0]}")
+    y = sheet * np.sqrt(curve.f(x))
+    near = np.abs(y) <= BRANCH_EXCLUSION
+    if near.any():
         raise BranchPointProximityError(
-            f"|y| = {abs(y):.3e} at x = {x}: too close to a branch point"
+            f"|y| = {abs(y[near][0]):.3e} at x = {x[near][0]}: too close to a branch point"
         )
-    return CurvePoint(x=complex(x), sheet=sheet, y=complex(y))
+    return CurvePoint(x=x[()], sheet=sheet[()], y=y[()])
 
 
 @dataclass(frozen=True)
 class TangentVector:
-    """lam * d/dz at a curve point, z = x - x0 the affine chart coordinate."""
+    """lam * d/dz at a curve point, z = x - x0 the affine chart coordinate; or a batch."""
 
     base: CurvePoint
-    lam: complex
+    lam: complex | np.ndarray
 
 
-def tangent(curve: HyperellipticCurve, x, sheet: int = 1, lam=1.0) -> TangentVector:
-    return TangentVector(base=curve_point(curve, x, sheet), lam=complex(lam))
+def tangent(curve: HyperellipticCurve, x, sheet=1, lam=1.0) -> TangentVector:
+    return TangentVector(base=curve_point(curve, x, sheet), lam=np.asarray(lam, dtype=complex)[()])
 
 
-def raw_differential_eval(curve: HyperellipticCurve, k: int, u: TangentVector) -> complex:
-    """Value of x^(k-1) dx / y on the tangent vector u."""
-    if not 1 <= k <= curve.g:
-        raise DimensionMismatchError(f"differential index must be in 1..{curve.g}, got {k}")
-    return u.lam * u.base.x ** (k - 1) / u.base.y
+def raw_differential_eval(curve: HyperellipticCurve, u: TangentVector) -> np.ndarray:
+    """Values lam x^(k-1) / y of the g differentials x^(k-1) dx / y on u, shape (..., g)."""
+    x, lam, y = (np.asarray(a, dtype=complex)[..., None] for a in (u.base.x, u.lam, u.base.y))
+    return lam * x ** np.arange(curve.g) / y
 
 
 def _chebyshev_nodes(order: int) -> tuple[np.ndarray, float]:
@@ -149,9 +160,7 @@ def _segment_integrals(curve: HyperellipticCurve, order: int) -> np.ndarray:
     return out
 
 
-def compute_periods(
-    curve: HyperellipticCurve, quad_order: int = 64, tol_riemann: float = TOL_RIEMANN
-) -> "PeriodData":
+def compute_periods(curve: HyperellipticCurve, quad_order: int = 64) -> "PeriodData":
     """Assemble the a/b period matrices of the basis x^(k-1) dx / y.
 
     The normalized period matrix Z = A^{-1} B must pass the Riemann
@@ -166,10 +175,10 @@ def compute_periods(
     for i in range(1, g + 1):
         A[:, i - 1] = 2 * segs[2 * i - 2]
         B[:, i - 1] = 2 * segs[2 * i - 1 :: 2].sum(axis=0)  # gap segments only
-    return _period_data(curve, A, B, quad_order, tol_riemann)
+    return _period_data(curve, A, B, quad_order)
 
 
-def _period_data(curve, A, B, quad_order, tol_riemann) -> "PeriodData":
+def _period_data(curve, A, B, quad_order) -> "PeriodData":
     try:
         Z = np.linalg.solve(A, B)
         N = np.linalg.inv(A)
@@ -177,7 +186,7 @@ def _period_data(curve, A, B, quad_order, tol_riemann) -> "PeriodData":
         raise SingularSystemError("a-period matrix is singular") from err
     residual = float(np.linalg.norm(Z - Z.T))
     min_eig = float(np.linalg.eigvalsh((Z - Z.conj().T) / 2j).min())
-    if residual > tol_riemann or min_eig <= 0:
+    if residual > TOL_RIEMANN or min_eig <= 0:
         raise RiemannRelationError(
             "Riemann relations violated "
             f"(||Z - Z^T|| = {residual:.3e}, min eig Im Z = {min_eig:.3e}); "
@@ -213,12 +222,9 @@ class PeriodData:
         return self.curve.g
 
 
-def normalized_differential_eval(pd: PeriodData, i: int, u: TangentVector) -> complex:
-    """Value of the i-th a-normalized differential on u."""
-    if not 1 <= i <= pd.g:
-        raise DimensionMismatchError(f"differential index must be in 1..{pd.g}, got {i}")
-    raw = np.array([raw_differential_eval(pd.curve, k, u) for k in range(1, pd.g + 1)])
-    return complex(pd.N[i - 1] @ raw)
+def normalized_differential_eval(pd: PeriodData, u: TangentVector) -> np.ndarray:
+    """Values of the g a-normalized differentials on u, shape (..., g)."""
+    return raw_differential_eval(pd.curve, u) @ pd.N.T
 
 
 def period_vector(pd: PeriodData, coeffs, conjugated: bool = False) -> np.ndarray:
@@ -234,7 +240,7 @@ def period_vector(pd: PeriodData, coeffs, conjugated: bool = False) -> np.ndarra
     return vec.conj() if conjugated else vec
 
 
-def transform_cycles(pd: PeriodData, S, tol_riemann: float = TOL_RIEMANN) -> PeriodData:
+def transform_cycles(pd: PeriodData, S) -> PeriodData:
     """Periods in a new homology basis (a'|b') = S (a|b), S integer symplectic.
 
     The transformed matrices are re-certified; a non-symplectic S surfaces
@@ -245,4 +251,4 @@ def transform_cycles(pd: PeriodData, S, tol_riemann: float = TOL_RIEMANN) -> Per
     if S.shape != (2 * g, 2 * g):
         raise DimensionMismatchError(f"expected a {2 * g}x{2 * g} cycle matrix, got {S.shape}")
     periods = np.hstack([pd.A, pd.B]) @ S.T
-    return _period_data(pd.curve, periods[:, :g], periods[:, g:], pd.quad_order, tol_riemann)
+    return _period_data(pd.curve, periods[:, :g], periods[:, g:], pd.quad_order)

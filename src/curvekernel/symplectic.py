@@ -186,18 +186,18 @@ def duality_maps(space: SymplecticSpace) -> DualityMaps:
     return DualityMaps(space=space, phiQ=q.astype(complex), psiQ=qinv.astype(complex), Qstar=-qinv.astype(complex))
 
 
-def qstar_pairing(maps: DualityMaps, alpha, beta) -> complex:
+def qstar_pairing(maps: DualityMaps, alpha, beta):
     """Dual symplectic pairing of two covectors in (a* | b*) coordinates.
 
     For the standard space this is sum_i alpha_i beta_{g+i} - alpha_{g+i} beta_i.
-    Bilinear (no conjugation) and antisymmetric.
+    Bilinear (no conjugation) and antisymmetric; batched over leading axes.
     """
     alpha = np.asarray(alpha, dtype=complex)
     beta = np.asarray(beta, dtype=complex)
     n = 2 * maps.space.g
-    if alpha.shape != (n,) or beta.shape != (n,):
+    if alpha.shape[-1:] != (n,) or beta.shape[-1:] != (n,):
         raise DimensionMismatchError(f"expected vectors of length {n}, got {alpha.shape} and {beta.shape}")
-    return complex(alpha @ maps.Qstar @ beta)
+    return np.sum((alpha @ maps.Qstar) * beta, -1)
 
 
 def psiQ_as_functional(maps: DualityMaps, cs: ComplexStructure, omega_bar, tol: float = MATRIX_TOL):

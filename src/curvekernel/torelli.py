@@ -9,6 +9,9 @@ composes two such cups (the second conjugated), and the closed form
 4 pi^2 w(u) conj(k_u(v)) k_v is kept out of the implementation so it can
 serve as the test oracle.
 
+Everything here is batched: classes of shape (..., g) and tangents of shape
+(...) give values of shape (...), so a suite checks all its trials at once.
+
 ``theorem_a_check`` evaluates both sides of the multiplication identity:
 the left side pulls the composed cup back through the dual pairing and the
 (-1/4 pi^2) normalization of point evaluations against quadratic
@@ -59,19 +62,14 @@ def schiffer_cup(xi: SchifferVariation, omega) -> np.ndarray:
     """Cup product with a holomorphic class: -2 pi w(u) conj(k_u).
 
     Returns coefficients in the conjugated working basis (an antiholomorphic
-    class).
+    class), shape (..., g).
     """
     omega = np.asarray(omega, dtype=complex)
-    if omega.shape != (xi.context.g,):
+    if omega.shape[-1:] != (xi.context.g,):
         raise DimensionMismatchError(f"expected {xi.context.g} coefficients, got {omega.shape}")
-    value = evaluate_class(xi.context, omega, xi.u)
+    value = np.asarray(evaluate_class(xi.context, omega, xi.u))[..., None]
     k_u = reproducing_element(xi.context, xi.u)
     return -2 * np.pi * value * np.conj(k_u.coeffs)
-
-
-def pairing_2k(beta_eval: complex) -> complex:
-    """Pairing of a quadratic differential, given by its value at u, with xi_u."""
-    return 2j * np.pi * beta_eval
 
 
 def btilde_apply(xi_u: SchifferVariation, xi_v: SchifferVariation, omega) -> np.ndarray:
@@ -86,9 +84,7 @@ def btilde_apply(xi_u: SchifferVariation, xi_v: SchifferVariation, omega) -> np.
     return np.conj(second)
 
 
-def theorem_a_check(
-    q: KunnethQuadric, u: TangentVector, v: TangentVector, ctx: BergmanContext
-) -> tuple[complex, complex]:
+def theorem_a_check(q: KunnethQuadric, u: TangentVector, v: TangentVector, ctx: BergmanContext):
     """Both sides of the bracket/kernel multiplication identity at (u, conj v).
 
     lhs: -(1/4 pi^2) Qstar(conj w', b(xi_u, conj xi_v) w), the pairing taken
@@ -106,10 +102,10 @@ def theorem_a_check(
     omega_u = evaluate_class(ctx, q.omega, u)
     omega_prime_v = evaluate_class(ctx, q.omega_prime, v)
     rhs = -1j * omega_u * np.conj(omega_prime_v) * bergman_eval(ctx, u, v)
-    return complex(lhs), complex(rhs)
+    return lhs, rhs
 
 
-def qstar_against_kv_check(omega_prime, v: TangentVector, ctx: BergmanContext) -> tuple[complex, complex]:
+def qstar_against_kv_check(omega_prime, v: TangentVector, ctx: BergmanContext):
     """Qstar(conj w', k_v) against the claim i conj(w'(v))."""
     if ctx.maps is None:
         raise DimensionMismatchError("pairing check requires a period-backed context")
@@ -121,4 +117,4 @@ def qstar_against_kv_check(omega_prime, v: TangentVector, ctx: BergmanContext) -
         class_period_vector(ctx, k_v.coeffs),
     )
     claim = 1j * np.conj(evaluate_class(ctx, omega_prime, v))
-    return complex(pairing), complex(claim)
+    return pairing, claim

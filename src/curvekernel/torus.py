@@ -18,10 +18,10 @@ c2 = 2 pi * (kernel diagonal coefficient) = pi / area.
 connecting form's holomorphic derivative reproduces the bidifferential and
 its antiholomorphic derivative reproduces -2 pi times the kernel; both are
 cross-checked against central differences of ``alpha_eval`` with one slot
-frozen. It makes one ``wp`` call (2N points) and one ``wzeta`` call (8N
-stencil points). With s the shortest generator length, the step is 1e-4 s
-and the finite-difference residuals are scaled by s^2 (p and c2 scale as
-s^-2), so they do not depend on the lattice's scale.
+frozen. It makes one ``wp`` (2N points), one ``wzeta`` (8N stencil points)
+and one ``bergman_eval`` call (N tangent pairs). With s = ``lat.scale`` the
+step is 1e-4 s and every residual is times s^2 (p, c1, c2 scale as s^-2),
+so none depends on the lattice's scale.
 """
 from __future__ import annotations
 
@@ -34,6 +34,9 @@ from .errors import PoleError
 from .periods import CurvePoint, TangentVector
 from .weierstrass import LatticeContext, wp, wzeta
 
+#: ``random_samples`` keeps zp - zq this many lattice scales away from the lattice.
+_MIN_SEP = 0.3
+
 
 @dataclass(frozen=True, eq=False)
 class EtaEvaluator:
@@ -43,8 +46,9 @@ class EtaEvaluator:
 
 
 def torus_tangent(z, lam=1.0) -> TangentVector:
-    """Tangent vector lam * d/dz at a point of the torus chart."""
-    return TangentVector(base=CurvePoint(x=complex(z), sheet=1, y=1.0), lam=complex(lam))
+    """Tangent vector lam * d/dz at a point of the torus chart; z and lam may be arrays."""
+    z, lam = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(lam, dtype=complex))
+    return TangentVector(base=CurvePoint(x=z[()], sheet=1, y=1.0), lam=lam[()])
 
 
 def torus_bergman_context(lat: LatticeContext) -> BergmanContext:
@@ -52,7 +56,7 @@ def torus_bergman_context(lat: LatticeContext) -> BergmanContext:
     gram = np.array([[2.0 * lat.area]], dtype=complex)
 
     def eval_basis(u: TangentVector) -> np.ndarray:
-        return np.array([u.lam], dtype=complex)
+        return np.asarray(u.lam, dtype=complex)[..., None]
 
     return context_from_gram(gram, eval_basis)
 
@@ -136,17 +140,19 @@ def theorem_b_check(
 ) -> TheoremBReport:
     """Exactness of the connecting form against the bidifferential and kernel.
 
-    ``samples`` is an iterable of (zp, zq, lam_u, lam_v) with zp != zq mod
-    the lattice. Per sample:
+    ``samples`` holds rows (zp, zq, lam_u, lam_v), an (N, 4) array or a list
+    of tuples, with zp != zq mod the lattice. Per sample:
 
     * holomorphic side: 2 dF_v(u) - dF_u(v) against the bidifferential;
     * antiholomorphic side: -dbarF_u(conj v) against -2 pi * kernel;
     * both analytic derivatives against central differences of
-      ``alpha_eval`` with one frozen tangent slot; with s the shortest
-      generator length, the step is 1e-4 s and these residuals are times s^2.
+      ``alpha_eval`` with one frozen tangent slot, with step 1e-4 s.
+
+    With s the shortest generator length, all residuals are times s^2.
     """
     lat = ev.lattice
-    zp, zq, lam_u, lam_v = np.array([tuple(s) for s in samples], dtype=complex).T
+    scale = lat.scale
+    zp, zq, lam_u, lam_v = np.asarray(samples, dtype=complex).T
     n = len(zp)
     # rows 0..n-1 hold (zp, zq), rows n..2n-1 hold (zq, zp)
     za, zb = np.concatenate([zp, zq]), np.concatenate([zq, zp])
@@ -154,15 +160,13 @@ def theorem_b_check(
     eta = eta_hat_eval(ev, za, zb, np.tile(lam_u, 2), np.tile(lam_v, 2))
     eta_pq, eta_qp = eta[:n], eta[n:]
     d_side = 2 * eta_pq - eta_qp
-    residual_d = np.abs(d_side - eta_pq)
+    residual_d = np.abs(d_side - eta_pq) * scale**2
     # analytic dbar-side against the kernel
     dbar_side = -lat.c2 * lam_u * np.conj(lam_v)
     ctx = torus_bergman_context(lat)
-    tangents = zip(map(torus_tangent, zp, lam_u), map(torus_tangent, zq, lam_v))
-    kernel_side = -2 * np.pi * np.array([bergman_eval(ctx, u, v) for u, v in tangents])
-    residual_dbar = np.abs(dbar_side - kernel_side)
+    kernel_side = -2 * np.pi * bergman_eval(ctx, torus_tangent(zp, lam_u), torus_tangent(zq, lam_v))
+    residual_dbar = np.abs(dbar_side - kernel_side) * scale**2
     # central differences of 2 lam_v F(x - zq) at x = zp and of lam_u F(y - zp) at y = zq
-    scale = min(abs(lat._r1), abs(lat._r2))
     h = 1e-4 * scale
     step = h * np.array([1, -1, 1j, -1j])
     f = elementary_potential(lat, (za[:, None] + step) - zb[:, None])
@@ -189,24 +193,19 @@ def theorem_b_check(
     )
 
 
-def random_samples(lat: LatticeContext, count: int, rng: np.random.Generator, min_sep: float = 0.3):
-    """Sample (zp, zq, lam_u, lam_v) away from the diagonal and lattice translates."""
-    out = []
-    scale = min(abs(lat._r1), abs(lat._r2))
-    while len(out) < count:
-        a, b = rng.uniform(-0.5, 0.5, size=2)
-        c, d = rng.uniform(-0.5, 0.5, size=2)
+def random_samples(lat: LatticeContext, count: int, rng: np.random.Generator) -> np.ndarray:
+    """(count, 4) rows (zp, zq, lam_u, lam_v) away from the diagonal mod the lattice, |lam| >= 0.1."""
+    rows = np.empty((0, 4), dtype=complex)
+    while len(rows) < count:
+        m = count - len(rows)
+        a, b, c, d = rng.uniform(-0.5, 0.5, size=(4, m))
+        lam_u, lam_v = rng.uniform(-1, 1, size=(2, m)) + 1j * rng.uniform(-1, 1, size=(2, m))
         zp = a * lat.omega1 + b * lat.omega2
         zq = c * lat.omega1 + d * lat.omega2
         diff = zp - zq
-        coords = lat._coord @ np.array([diff.real, diff.imag])
+        coords = lat._coord @ np.vstack([diff.real, diff.imag])
         frac = coords - np.rint(coords)
-        dist = abs(frac[0] * lat._r1 + frac[1] * lat._r2)
-        if dist < min_sep * scale:
-            continue
-        lam_u = complex(*rng.uniform(-1, 1, size=2))
-        lam_v = complex(*rng.uniform(-1, 1, size=2))
-        if abs(lam_u) < 0.1 or abs(lam_v) < 0.1:
-            continue
-        out.append((zp, zq, lam_u, lam_v))
-    return out
+        dist = np.abs(frac[0] * lat._r1 + frac[1] * lat._r2)
+        keep = (dist >= _MIN_SEP * lat.scale) & (np.abs(lam_u) >= 0.1) & (np.abs(lam_v) >= 0.1)
+        rows = np.concatenate([rows, np.stack([zp, zq, lam_u, lam_v], axis=1)[keep]])
+    return rows

@@ -85,7 +85,10 @@ def _bootstrap(r1: complex, r2: complex, grid: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LatticeContext:
-    """A genus-1 lattice with quasi-periods and potential coefficients."""
+    """A genus-1 lattice with quasi-periods and potential coefficients.
+
+    ``scale`` is the shortest generator length, the unit of every certificate.
+    """
 
     omega1: complex
     omega2: complex
@@ -97,6 +100,7 @@ class LatticeContext:
     truncation: int
     eisenstein4: complex
     eisenstein6: complex
+    scale: float
     _r1: complex = field(repr=False, default=0j)
     _r2: complex = field(repr=False, default=0j)
     _eta_r: tuple = field(repr=False, default=(0j, 0j))
@@ -160,6 +164,7 @@ def build_lattice(omega1, omega2, truncation: int = 64, max_truncation: int = 51
         truncation=n,
         eisenstein4=complex(g4),
         eisenstein6=complex(g6),
+        scale=s,
         _r1=r1,
         _r2=r2,
         _eta_r=(complex(eta_r1), complex(eta_r2)),

@@ -55,6 +55,11 @@ def g2_ctx(g2_pd):
 
 
 @pytest.fixture(scope="session")
+def g3_ctx(g3_pd):
+    return bergman.context_from_periods(g3_pd)
+
+
+@pytest.fixture(scope="session")
 def square_lattice():
     return weierstrass.build_lattice(1.0, 1j)
 
@@ -90,3 +95,12 @@ def random_curve_tangent(curve, rng, lam_min=0.1):
             return periods.tangent(curve, x, sheet, lam)
         except Exception:
             continue
+
+
+def random_tangent_batch(curve, rng, count):
+    """``count`` tangents from ``random_curve_tangent``, as a list and as one batched tangent."""
+    scalars = [random_curve_tangent(curve, rng) for _ in range(count)]
+    batch = periods.tangent(
+        curve, [u.base.x for u in scalars], [u.base.sheet for u in scalars], [u.lam for u in scalars]
+    )
+    return scalars, batch

@@ -242,8 +242,8 @@ def test_criterion_8_cross_model_consistency(square_lattice, g1_pd):
         u = random_curve_tangent(g1_pd.curve, rng)
         v = random_curve_tangent(g1_pd.curve, rng)
         curve_val = bergman.bergman_eval(curve_ctx, u, v)
-        lam_u = periods.normalized_differential_eval(g1_pd, 1, u)
-        lam_v = periods.normalized_differential_eval(g1_pd, 1, v)
+        (lam_u,) = periods.normalized_differential_eval(g1_pd, u)
+        (lam_v,) = periods.normalized_differential_eval(g1_pd, v)
         torus_val = bergman.bergman_eval(
             torus_ctx, torus.torus_tangent(0.0, lam_u), torus.torus_tangent(0.0, lam_v)
         )

@@ -2,11 +2,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import random_curve_tangent
+from conftest import random_curve_tangent, random_tangent_batch
 from numpy.testing import assert_allclose
 
 from curvekernel import bergman, periods
-from curvekernel.errors import DimensionMismatchError
+from curvekernel.errors import DimensionMismatchError, SingularSystemError
 
 
 def torus_context(area=1.0):
@@ -104,7 +104,7 @@ class TestBergmanEval:
     def test_g1_diagonal_value(self, g1_curve, g1_ctx):
         rng = np.random.default_rng(4)
         u = random_curve_tangent(g1_curve, rng)
-        w = periods.normalized_differential_eval(g1_ctx.pd, 1, u)
+        (w,) = periods.normalized_differential_eval(g1_ctx.pd, u)
         val = bergman.bergman_eval(g1_ctx, u, u)
         assert val == pytest.approx(abs(w) ** 2 / 2, abs=1e-12)
 
@@ -207,3 +207,38 @@ def test_presented_context_rejects_period_vector_input():
     ctx = torus_context()
     with pytest.raises(DimensionMismatchError):
         bergman.hodge_product(ctx, np.zeros(2), np.zeros(2))
+
+
+class TestSingularGram:
+    @pytest.mark.parametrize("gram", [np.zeros((1, 1)), np.diag([1.0, 0.0])])
+    def test_named_error(self, gram):
+        with pytest.raises(SingularSystemError):
+            bergman.context_from_gram(gram, lambda u: np.array([u.lam], dtype=complex))
+
+
+@pytest.mark.parametrize("ctx_name", ["g1_ctx", "g2_ctx", "g3_ctx"])
+class TestBatchedEvaluation:
+    """One call on 64 tangents agrees elementwise with 64 scalar calls."""
+
+    def test_bergman_eval(self, ctx_name, request):
+        ctx = request.getfixturevalue(ctx_name)
+        rng = np.random.default_rng(20)
+        us, u = random_tangent_batch(ctx.pd.curve, rng, 64)
+        vs, v = random_tangent_batch(ctx.pd.curve, rng, 64)
+        for presentation in ("gram", "unitary", "normalized"):
+            batch = bergman.bergman_eval(ctx, u, v, presentation)
+            scalar = [bergman.bergman_eval(ctx, a, b, presentation) for a, b in zip(us, vs)]
+            assert batch.shape == (64,)
+            assert_allclose(batch, scalar, rtol=1e-13, atol=0)
+
+    def test_reproducing_element(self, ctx_name, request):
+        ctx = request.getfixturevalue(ctx_name)
+        us, u = random_tangent_batch(ctx.pd.curve, np.random.default_rng(21), 64)
+        batch = bergman.reproducing_element(ctx, u).coeffs
+        assert batch.shape == (64, ctx.g)
+        assert_allclose(batch, [bergman.reproducing_element(ctx, a).coeffs for a in us], rtol=1e-13, atol=0)
+
+    def test_scalar_tangent_gives_complex(self, ctx_name, request):
+        ctx = request.getfixturevalue(ctx_name)
+        u = random_curve_tangent(ctx.pd.curve, np.random.default_rng(22))
+        assert isinstance(bergman.bergman_eval(ctx, u, u), complex)

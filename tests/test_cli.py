@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curvekernel import cli
+from curvekernel import cli, torelli
 
 G1_SPEC = '{"type": "hyperelliptic", "f_coeffs": [0, -1, 0, 1]}'
 G2_SPEC = '{"type": "hyperelliptic", "f_coeffs": [0, 24, -50, 35, -10, 1]}'
@@ -172,6 +172,30 @@ class TestVerifyCommands:
         assert small["residuals"]["max_residual_fd"] == pytest.approx(
             ref["residuals"]["max_residual_fd"], rel=1e-6
         )
+
+    def test_theorem_b_small_copy_passes(self, capsys):
+        # (1, 2i) scaled by 3e-4: p and c2 grow as s^-2, so unscaled d and dbar
+        # residuals would exceed the tolerance
+        code, out, _ = run_cli(
+            capsys, "verify", "theorem-b", "--lattice", "0.0003,0,0,0.0006", "--samples", "20"
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["pass"] is True
+        assert report["residuals"]["max_residual_dbar"] <= 1e-10
+
+    def test_theorem_a_is_one_array_call(self, capsys, monkeypatch):
+        calls = {"theorem_a_check": 0, "qstar_against_kv_check": 0}
+        for name in calls:
+
+            def counting(*args, _name=name, _fn=getattr(torelli, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(torelli, name, counting)
+        code, _, _ = run_cli(capsys, "verify", "theorem-a", "--curve", G2_SPEC, "--trials", "100")
+        assert code == 0
+        assert calls == {"theorem_a_check": 1, "qstar_against_kv_check": 1}
 
     def test_bad_lattice_is_input_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "theorem-b", "--lattice", "1,0,2,0")

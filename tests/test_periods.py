@@ -77,28 +77,42 @@ class TestBuildCurve:
 class TestDifferentialEval:
     def test_direct_formula(self, g1_curve):
         u = periods.tangent(g1_curve, 2.0, 1, 1.0)
-        assert periods.raw_differential_eval(g1_curve, 1, u) == pytest.approx(1 / np.sqrt(6.0))
+        assert periods.raw_differential_eval(g1_curve, u) == pytest.approx([1 / np.sqrt(6.0)])
 
     def test_linear_in_lambda(self, g1_curve):
         u0 = periods.tangent(g1_curve, 2.0, 1, 0.0)
-        assert periods.raw_differential_eval(g1_curve, 1, u0) == 0
+        assert periods.raw_differential_eval(g1_curve, u0)[0] == 0
 
     def test_sheet_flip_negates(self, g2_curve):
         up = periods.tangent(g2_curve, 1.5 + 0.5j, 1, 1.0 - 2.0j)
         um = periods.tangent(g2_curve, 1.5 + 0.5j, -1, 1.0 - 2.0j)
-        for k in (1, 2):
-            a = periods.raw_differential_eval(g2_curve, k, up)
-            b = periods.raw_differential_eval(g2_curve, k, um)
-            assert a == pytest.approx(-b)
+        a = periods.raw_differential_eval(g2_curve, up)
+        b = periods.raw_differential_eval(g2_curve, um)
+        assert a.shape == (2,)
+        assert a == pytest.approx(-b)
 
     def test_branch_point_exclusion(self, g1_curve):
         with pytest.raises(BranchPointProximityError):
             periods.tangent(g1_curve, 1.0 + 1e-14, 1, 1.0)
 
-    def test_bad_index(self, g1_curve):
-        u = periods.tangent(g1_curve, 2.0, 1, 1.0)
+    def test_batch_matches_scalar_rows(self, g2_curve):
+        x = np.array([[1.5 + 0.5j, -0.3 + 1.1j], [4.2 + 0.2j, 2.5 - 0.7j]])
+        sheet = np.array([[1, -1], [-1, 1]])
+        lam = np.array([[1.0 - 2.0j, 0.4], [-0.2j, 0.9 + 0.1j]])
+        batch = periods.raw_differential_eval(g2_curve, periods.tangent(g2_curve, x, sheet, lam))
+        assert batch.shape == (2, 2, 2)
+        for idx in np.ndindex(x.shape):
+            u = periods.tangent(g2_curve, x[idx], sheet[idx], lam[idx])
+            assert_allclose(batch[idx], periods.raw_differential_eval(g2_curve, u), rtol=1e-15)
+
+    def test_branch_point_in_batch_rejected(self, g1_curve):
+        # one point of the batch sits on the branch point x = 1
+        with pytest.raises(BranchPointProximityError):
+            periods.tangent(g1_curve, np.array([2.0, 1.0 + 1e-14, 0.5 + 0.5j]), 1, 1.0)
+
+    def test_bad_sheet_in_batch_rejected(self, g1_curve):
         with pytest.raises(DimensionMismatchError):
-            periods.raw_differential_eval(g1_curve, 2, u)
+            periods.tangent(g1_curve, np.array([2.0, 0.5 + 0.5j]), np.array([1, 0]), 1.0)
 
 
 class TestComputePeriods:
@@ -178,18 +192,17 @@ class TestNormalizedBasis:
 
     def test_g1_scalar_normalization(self, g1_curve, g1_pd):
         u = periods.tangent(g1_curve, 2.0 + 1.0j, 1, 0.5)
-        raw = periods.raw_differential_eval(g1_curve, 1, u)
-        normalized = periods.normalized_differential_eval(g1_pd, 1, u)
+        (raw,) = periods.raw_differential_eval(g1_curve, u)
+        (normalized,) = periods.normalized_differential_eval(g1_pd, u)
         assert normalized == pytest.approx(raw / g1_pd.A[0, 0])
 
     def test_linearity(self, g2_curve, g2_pd):
         x = 1.4 + 0.8j
         u1 = periods.tangent(g2_curve, x, 1, 1.0)
         u2 = periods.tangent(g2_curve, x, 1, 2.5 - 1.0j)
-        for i in (1, 2):
-            a = periods.normalized_differential_eval(g2_pd, i, u1)
-            b = periods.normalized_differential_eval(g2_pd, i, u2)
-            assert b == pytest.approx((2.5 - 1.0j) * a)
+        a = periods.normalized_differential_eval(g2_pd, u1)
+        b = periods.normalized_differential_eval(g2_pd, u2)
+        assert b == pytest.approx((2.5 - 1.0j) * a)
 
 
 class TestPeriodVector:

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import random_curve_tangent
+from conftest import random_curve_tangent, random_tangent_batch
 from numpy.testing import assert_allclose
 
 from curvekernel import bergman, torelli
@@ -56,17 +56,6 @@ class TestSchifferCup:
         ku = bergman.reproducing_element(g1_ctx, u)
         expected = -2 * np.pi * bergman.evaluate_class(g1_ctx, omega, u) * np.conj(ku.coeffs)
         assert_allclose(out, expected, atol=1e-12)
-
-
-class TestPairing2K:
-    def test_zero(self):
-        assert torelli.pairing_2k(0.0) == 0
-
-    def test_unit(self):
-        assert torelli.pairing_2k(1.0) == pytest.approx(2j * np.pi)
-
-    def test_linear(self):
-        assert torelli.pairing_2k(3.0 - 1.0j) == pytest.approx((3.0 - 1.0j) * 2j * np.pi)
 
 
 class TestBtilde:
@@ -204,3 +193,37 @@ class TestQstarAgainstKv:
             omega_prime = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             pairing, claim = torelli.qstar_against_kv_check(omega_prime, v, g2_ctx)
             assert abs(pairing - claim) <= 1e-9 * max(1.0, abs(claim))
+
+
+@pytest.mark.parametrize("ctx_name", ["g1_ctx", "g2_ctx", "g3_ctx"])
+class TestBatchedChecks:
+    """One call on 64 trials agrees elementwise with 64 scalar calls."""
+
+    def test_theorem_a_check(self, ctx_name, request):
+        ctx = request.getfixturevalue(ctx_name)
+        rng = np.random.default_rng(30)
+        us, u = random_tangent_batch(ctx.pd.curve, rng, 64)
+        vs, v = random_tangent_batch(ctx.pd.curve, rng, 64)
+        omega = rng.standard_normal((64, ctx.g)) + 1j * rng.standard_normal((64, ctx.g))
+        omega_prime = rng.standard_normal((64, ctx.g)) + 1j * rng.standard_normal((64, ctx.g))
+        lhs, rhs = torelli.theorem_a_check(torelli.KunnethQuadric(omega, omega_prime), u, v, ctx)
+        assert lhs.shape == rhs.shape == (64,)
+        scalar = np.array(
+            [
+                torelli.theorem_a_check(torelli.KunnethQuadric(w, wp), a, b, ctx)
+                for w, wp, a, b in zip(omega, omega_prime, us, vs)
+            ]
+        )
+        assert_allclose(lhs, scalar[:, 0], rtol=1e-13, atol=0)
+        assert_allclose(rhs, scalar[:, 1], rtol=1e-13, atol=0)
+
+    def test_qstar_against_kv_check(self, ctx_name, request):
+        ctx = request.getfixturevalue(ctx_name)
+        rng = np.random.default_rng(31)
+        vs, v = random_tangent_batch(ctx.pd.curve, rng, 64)
+        omega_prime = rng.standard_normal((64, ctx.g)) + 1j * rng.standard_normal((64, ctx.g))
+        pairing, claim = torelli.qstar_against_kv_check(omega_prime, v, ctx)
+        assert pairing.shape == claim.shape == (64,)
+        scalar = np.array([torelli.qstar_against_kv_check(wp, b, ctx) for wp, b in zip(omega_prime, vs)])
+        assert_allclose(pairing, scalar[:, 0], rtol=1e-13, atol=0)
+        assert_allclose(claim, scalar[:, 1], rtol=1e-13, atol=0)

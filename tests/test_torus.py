@@ -178,7 +178,8 @@ def reference_residuals(lat, samples):
     """Per-sample theorem-B residuals from scalar calls, one sample at a time.
 
     The finite differences are taken of ``alpha_eval`` with one tangent slot
-    frozen at 0, with step 1e-4 s and residuals times s^2 (s the cell scale).
+    frozen at 0, with step 1e-4 s; every residual is times s^2 (s the cell
+    scale).
     """
     ev = torus.EtaEvaluator(lattice=lat)
     ctx = torus.torus_bergman_context(lat)
@@ -201,8 +202,8 @@ def reference_residuals(lat, samples):
         dz_a, dzbar_a = wirtinger(lambda y: torus.alpha_eval(ev, zp, y, lam_u, 0.0), zq)
         rows.append(
             [
-                abs(d_side - eta_pq),
-                abs(dbar_side - kernel_side),
+                abs(d_side - eta_pq) * s**2,
+                abs(dbar_side - kernel_side) * s**2,
                 abs(lam_u * dz_b - lam_v * dz_a - d_side) * s**2,
                 abs(-np.conj(lam_v) * dzbar_a - dbar_side) * s**2,
             ]
@@ -226,7 +227,7 @@ class TestBatchedTheoremB:
             [[s.residual_d, s.residual_dbar, s.residual_fd_d, s.residual_fd_dbar] for s in report.samples]
         )
         np.testing.assert_allclose(got, reference_residuals(lat, samples), rtol=0, atol=1e-11)
-        assert [(s.zp, s.zq, s.lam_u, s.lam_v) for s in report.samples] == samples
+        np.testing.assert_array_equal([(s.zp, s.zq, s.lam_u, s.lam_v) for s in report.samples], samples)
         assert report.max_residual_d == got[:, 0].max()
         assert report.max_residual_dbar == got[:, 1].max()
         assert report.max_residual_fd == got[:, 2:].max()
@@ -243,6 +244,33 @@ class TestBatchedTheoremB:
         samples = torus.random_samples(generic_lattice, 50, np.random.default_rng(0))
         torus.theorem_b_check(torus.EtaEvaluator(lattice=generic_lattice), samples)
         assert calls == {"wp": 1, "wzeta": 1}
+
+    @pytest.mark.parametrize("fixture", LATTICE_FIXTURES + ["quarter_lattice"])
+    def test_random_samples_separated(self, fixture, request):
+        lat = request.getfixturevalue(fixture)
+        samples = torus.random_samples(lat, 200, np.random.default_rng(5))
+        assert samples.shape == (200, 4) and samples.dtype == complex
+        zp, zq, lam_u, lam_v = samples.T
+        diff = zp - zq
+        coords = lat._coord @ np.vstack([diff.real, diff.imag])
+        cell = diff - np.rint(coords[0]) * lat._r1 - np.rint(coords[1]) * lat._r2
+        dist = np.min(
+            [np.abs(cell - m * lat._r1 - k * lat._r2) for m in (-1, 0, 1) for k in (-1, 0, 1)], axis=0
+        )
+        assert dist.min() >= 0.3 * min(abs(lat._r1), abs(lat._r2))
+        assert np.abs(lam_u).min() >= 0.1 and np.abs(lam_v).min() >= 0.1
+
+    def test_one_bergman_eval_call(self, generic_lattice, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return bergman.bergman_eval(*args, **kwargs)
+
+        monkeypatch.setattr(torus, "bergman_eval", counting)
+        samples = torus.random_samples(generic_lattice, 50, np.random.default_rng(0))
+        torus.theorem_b_check(torus.EtaEvaluator(lattice=generic_lattice), samples)
+        assert len(calls) == 1
 
     def test_sample_on_lattice_translate_of_diagonal_rejected(self, square_lattice):
         zp = 0.1 + 0.2j
@@ -272,8 +300,8 @@ class TestCrossModelConsistency:
             v = periods.tangent(g1_pd.curve, x_v, -1, lam_v)
             curve_val = bergman.bergman_eval(curve_ctx, u, v)
             # transported coefficients: lam' = (normalized differential)(u)
-            lam_u_t = periods.normalized_differential_eval(g1_pd, 1, u)
-            lam_v_t = periods.normalized_differential_eval(g1_pd, 1, v)
+            (lam_u_t,) = periods.normalized_differential_eval(g1_pd, u)
+            (lam_v_t,) = periods.normalized_differential_eval(g1_pd, v)
             torus_val = bergman.bergman_eval(
                 torus_ctx, torus.torus_tangent(0.0, lam_u_t), torus.torus_tangent(0.0, lam_v_t)
             )
