@@ -179,6 +179,11 @@ def three_presentation_values(ctx: BergmanContext, u: TangentVector, v: TangentV
     return out
 
 
-def three_presentation_residual(ctx: BergmanContext, u: TangentVector, v: TangentVector) -> float:
-    vals = list(three_presentation_values(ctx, u, v).values())
+def _presentation_spread(values: dict[str, complex]) -> float:
+    """Largest pairwise distance among the presentation values."""
+    vals = list(values.values())
     return float(max(abs(a - b) for a in vals for b in vals))
+
+
+def three_presentation_residual(ctx: BergmanContext, u: TangentVector, v: TangentVector) -> float:
+    return _presentation_spread(three_presentation_values(ctx, u, v))

@@ -8,7 +8,9 @@ residuals within tolerance, 1 verification failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -117,7 +119,7 @@ def cmd_bergman_eval(args) -> int:
     u = periods.tangent(pd.curve, xu, su, lu)
     v = periods.tangent(pd.curve, xv, sv, lv)
     vals = bergman.three_presentation_values(ctx, u, v)
-    residual = bergman.three_presentation_residual(ctx, u, v)
+    residual = bergman._presentation_spread(vals)
     report = {
         "command": "bergman-eval",
         "inputs": {"curve": spec, "u": args.u, "v": args.v},
@@ -214,7 +216,9 @@ def cmd_verify_theorem_b(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use; parsing does not change it."""
     parser = argparse.ArgumentParser(prog="curvekernel")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -260,13 +264,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if getattr(args, "trials", 1) < 1 or getattr(args, "samples", 1) < 1:
         print(json.dumps({"error": "trials/samples must be >= 1"}), file=sys.stderr)
         return 2
-    if getattr(args, "tol", 1.0) <= 0:
-        print(json.dumps({"error": "tol must be positive"}), file=sys.stderr)
+    if not 0 < getattr(args, "tol", 1.0) < math.inf:
+        print(json.dumps({"error": "tol must be finite and positive"}), file=sys.stderr)
         return 2
     if getattr(args, "quad_order", 8) < 8:
         print(json.dumps({"error": "quad_order must be >= 8"}), file=sys.stderr)

@@ -15,7 +15,8 @@ of the largest root and gains a factor i across each branch point, which
 is the analytic continuation through the upper half-plane. Segment
 integrals of x^(k-1)/y use Gauss-Chebyshev nodes, which absorb the
 inverse-square-root endpoint singularities exactly; the remaining factor
-is analytic on the closed segment so convergence is spectral.
+is analytic on the closed segment so convergence is spectral. All d-1
+segment integrals are one array expression over nodes of shape (d-1, order).
 
 None of this bookkeeping is trusted blindly: every computed period matrix
 must pass the Riemann-relation certificate (Z symmetric, Im Z positive
@@ -72,6 +73,8 @@ class HyperellipticCurve:
 
 def build_curve(f_coeffs) -> HyperellipticCurve:
     coeffs = [float(c) for c in f_coeffs]
+    if not np.isfinite(coeffs).all():
+        raise RootConfigurationError("f has non-finite coefficients")
     while coeffs and coeffs[-1] == 0.0:
         coeffs.pop()
     deg = len(coeffs) - 1
@@ -140,24 +143,20 @@ def _segment_integrals(curve: HyperellipticCurve, order: int) -> np.ndarray:
     """J[m, k] = integral over segment m+1 of x^k / y dx, branch phases included."""
     e = curve.roots
     d = curve.degree
-    g = curve.g
-    nseg = d - 1
     t, weight = _chebyshev_nodes(order)
-    out = np.empty((nseg, g), dtype=complex)
+    a, b = e[:-1, None], e[1:, None]
+    x = 0.5 * (a + b) + 0.5 * (b - a) * t
+    # row m of rest multiplies |x - e_l| over the roots l off segment m, in ascending l
+    rest = np.full_like(x, abs(curve.leading))
+    seg = np.arange(d - 1)[:, None]
+    for l in range(d):
+        rest *= np.where((seg == l) | (seg == l - 1), 1.0, np.abs(x - e[l]))
+    base = 1.0 / np.sqrt(rest)
+    # scalar powers, not x ** arange(g): numpy squares x**2 exactly where pow may not
+    moments = np.stack([x**k for k in range(curve.g)], axis=1) * base[:, None]
     lead_phase = 1.0 if curve.leading > 0 else 1j
-    for m in range(1, nseg + 1):
-        a, b = e[m - 1], e[m]
-        c, r = 0.5 * (a + b), 0.5 * (b - a)
-        x = c + r * t
-        rest = np.full_like(x, abs(curve.leading))
-        for l in range(d):
-            if l not in (m - 1, m):
-                rest *= np.abs(x - e[l])
-        base = 1.0 / np.sqrt(rest)
-        phase = lead_phase * 1j ** (d - m)
-        for k in range(g):
-            out[m - 1, k] = weight * np.sum(x**k * base) / phase
-    return out
+    phase = np.array([lead_phase * 1j ** (d - m) for m in range(1, d)])
+    return weight * moments.sum(axis=-1) / phase[:, None]
 
 
 def compute_periods(curve: HyperellipticCurve, quad_order: int = 64) -> "PeriodData":

@@ -100,21 +100,14 @@ def alpha_eval(ev: EtaEvaluator, zp, zq, lam_u, lam_v) -> complex:
     )
 
 
-@dataclass(frozen=True)
-class TheoremBSample:
-    zp: complex
-    zq: complex
-    lam_u: complex
-    lam_v: complex
-    residual_d: float
-    residual_dbar: float
-    residual_fd_d: float
-    residual_fd_dbar: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TheoremBReport:
-    samples: tuple
+    """Residuals of ``theorem_b_check``: per sample, each of shape (N,), and their maxima."""
+
+    residual_d: np.ndarray
+    residual_dbar: np.ndarray
+    residual_fd_d: np.ndarray
+    residual_fd_dbar: np.ndarray
     max_residual_d: float
     max_residual_dbar: float
     max_residual_fd: float
@@ -178,12 +171,11 @@ def theorem_b_check(
     fd_dbar = -np.conj(lam_v) * dzbar[n:]
     residual_fd_d = np.abs(fd_d - d_side) * scale**2
     residual_fd_dbar = np.abs(fd_dbar - dbar_side) * scale**2
-    out = tuple(
-        TheoremBSample(*map(complex, row[:4]), *map(float, row[4:]))
-        for row in zip(zp, zq, lam_u, lam_v, residual_d, residual_dbar, residual_fd_d, residual_fd_dbar)
-    )
     return TheoremBReport(
-        samples=out,
+        residual_d=residual_d,
+        residual_dbar=residual_dbar,
+        residual_fd_d=residual_fd_d,
+        residual_fd_dbar=residual_fd_dbar,
         max_residual_d=float(residual_d.max()),
         max_residual_dbar=float(residual_dbar.max()),
         max_residual_fd=float(max(residual_fd_d.max(), residual_fd_dbar.max())),

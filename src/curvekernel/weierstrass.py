@@ -125,6 +125,8 @@ def build_lattice(omega1, omega2, truncation: int = 64, max_truncation: int = 51
     one comparison is the coarser level of the next.
     """
     w1, w2 = complex(omega1), complex(omega2)
+    if not np.isfinite([w1, w2]).all():
+        raise LatticeError("generators must be finite")
     if abs(w1) == 0 or abs(w2) == 0 or abs((w2 / w1).imag) < 1e-12:
         raise LatticeError("generators are degenerate: omega2/omega1 must be off the real axis")
     if (w2 / w1).imag < 0:

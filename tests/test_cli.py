@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curvekernel import cli, torelli
+from curvekernel import bergman, cli, torelli
 
 G1_SPEC = '{"type": "hyperelliptic", "f_coeffs": [0, -1, 0, 1]}'
 G2_SPEC = '{"type": "hyperelliptic", "f_coeffs": [0, 24, -50, 35, -10, 1]}'
@@ -92,6 +92,20 @@ class TestBergmanEvalCommand:
         assert report["pass"] is True
         assert report["residuals"]["presentation_spread"] <= 1e-10
         assert set(report["results"]) == {"gram", "unitary", "normalized"}
+
+    def test_three_bergman_eval_calls(self, capsys, monkeypatch):
+        calls = []
+
+        def counting(*args, _fn=bergman.bergman_eval, **kwargs):
+            calls.append(args[-1] if len(args) > 3 else kwargs.get("presentation", "gram"))
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(bergman, "bergman_eval", counting)
+        code, _, _ = run_cli(
+            capsys, "bergman-eval", "--curve", G2_SPEC, "--u", "0.5,0.3,1,1.0,0.0", "--v", "2.5,0.4,-1,0.3,0.2"
+        )
+        assert code == 0
+        assert sorted(calls) == ["gram", "normalized", "unitary"]
 
     def test_branch_point_is_input_error(self, capsys):
         code, _, err = run_cli(
@@ -208,6 +222,34 @@ class TestVerifyCommands:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "theorem-a", "--curve", G1_SPEC, "--trials", "5"],
+            ["verify", "theorem-b", "--lattice", "1,0,0,1", "--samples", "5"],
+            ["bergman-eval", "--curve", G1_SPEC, "--u", "2.0,0.0,1,1.0,0.0", "--v", "0.5,0.7,-1,0.3,-0.2"],
+        ],
+        ids=["theorem-a", "theorem-b", "bergman-eval"],
+    )
+    def test_non_finite_tol_rejected(self, capsys, argv, tol):
+        code, out, err = run_cli(capsys, *argv, "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert "tol must be finite and positive" in err
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_non_finite_coefficients_are_input_error(self, capsys, bad):
+        spec = f'{{"type": "hyperelliptic", "f_coeffs": [0, -1, {bad}, 1]}}'
+        code, _, err = run_cli(capsys, "periods", "--curve", spec)
+        assert code == 2
+        assert "RootConfigurationError" in err
+
+    def test_non_finite_lattice_is_input_error(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "theorem-b", "--lattice", "1,0,nan,1")
+        assert code == 2
+        assert "LatticeError" in err
+
     def test_zero_trials_rejected(self, capsys):
         code, _, _ = run_cli(
             capsys, "verify", "theorem-a", "--curve", G1_SPEC, "--trials", "0"
@@ -235,6 +277,30 @@ class TestDeterminism:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+
+class TestParser:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_no_state_between_calls(self, capsys):
+        calls = [
+            ["verify", "theorem-a", "--curve", G2_SPEC, "--trials", "10", "--seed", "3"],
+            ["periods", "--curve", G2_SPEC, "--format", "csv"],
+            ["verify", "theorem-b", "--lattice", "1,0,0.3,1.1", "--samples", "5"],
+            ["periods", "--curve", G2_SPEC],
+        ]
+        first = {}
+        for argv in calls:
+            cli.build_parser.cache_clear()
+            first[tuple(argv)] = run_cli(capsys, *argv)
+        cli.build_parser.cache_clear()
+        assert run_cli(capsys, *calls[0]) == first[tuple(calls[0])]
+        with pytest.raises(SystemExit):
+            cli.main(["periods", "--curve", G2_SPEC, "--format", "xml"])
+        capsys.readouterr()
+        for argv in calls[1:]:
+            assert run_cli(capsys, *argv) == first[tuple(argv)]
 
 
 def test_module_entry_point():

@@ -73,6 +73,11 @@ class TestBuildCurve:
         with pytest.raises(DegreeError):
             periods.build_curve([1.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_coefficients_rejected(self, bad):
+        with pytest.raises(RootConfigurationError, match="non-finite"):
+            periods.build_curve([0.0, -1.0, bad, 1.0])
+
 
 class TestDifferentialEval:
     def test_direct_formula(self, g1_curve):
@@ -113,6 +118,45 @@ class TestDifferentialEval:
     def test_bad_sheet_in_batch_rejected(self, g1_curve):
         with pytest.raises(DimensionMismatchError):
             periods.tangent(g1_curve, np.array([2.0, 0.5 + 0.5j]), np.array([1, 0]), 1.0)
+
+
+def loop_segment_integrals(curve, order):
+    """One segment and one moment at a time: the reference the array code must match bit for bit."""
+    e = curve.roots
+    d = curve.degree
+    t, weight = periods._chebyshev_nodes(order)
+    out = np.empty((d - 1, curve.g), dtype=complex)
+    lead_phase = 1.0 if curve.leading > 0 else 1j
+    for m in range(1, d):
+        a, b = e[m - 1], e[m]
+        c, r = 0.5 * (a + b), 0.5 * (b - a)
+        x = c + r * t
+        rest = np.full_like(x, abs(curve.leading))
+        for l in range(d):
+            if l not in (m - 1, m):
+                rest *= np.abs(x - e[l])
+        base = 1.0 / np.sqrt(rest)
+        phase = lead_phase * 1j ** (d - m)
+        for k in range(curve.g):
+            out[m - 1, k] = weight * np.sum(x**k * base) / phase
+    return out
+
+
+class TestSegmentIntegrals:
+    @pytest.mark.parametrize("order", [8, 64, 96, 2048])
+    @pytest.mark.parametrize("g", range(1, 9))
+    @pytest.mark.parametrize("extra", [0, 1], ids=["odd", "even"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["lead+", "lead-"])
+    def test_matches_loop_bit_for_bit(self, order, g, extra, sign):
+        d = 2 * g + 1 + extra
+        rng = np.random.default_rng([g, extra, order])
+        roots = (np.arange(d) - (d - 1) / 2 + rng.uniform(-0.3, 0.3, d)) * 2.0 / d
+        coeffs = sign * rng.uniform(0.5, 2.0) * np.polynomial.polynomial.polyfromroots(roots)
+        curve = periods.build_curve(coeffs)
+        assert (curve.degree, curve.g, curve.leading < 0) == (d, g, sign < 0)
+        np.testing.assert_array_equal(
+            periods._segment_integrals(curve, order), loop_segment_integrals(curve, order)
+        )
 
 
 class TestComputePeriods:

@@ -223,11 +223,11 @@ class TestBatchedTheoremB:
         lat = request.getfixturevalue(fixture)
         samples = torus.random_samples(lat, 20, np.random.default_rng(0))
         report = torus.theorem_b_check(torus.EtaEvaluator(lattice=lat), samples)
-        got = np.array(
-            [[s.residual_d, s.residual_dbar, s.residual_fd_d, s.residual_fd_dbar] for s in report.samples]
+        got = np.stack(
+            [report.residual_d, report.residual_dbar, report.residual_fd_d, report.residual_fd_dbar], axis=1
         )
         np.testing.assert_allclose(got, reference_residuals(lat, samples), rtol=0, atol=1e-11)
-        np.testing.assert_array_equal([(s.zp, s.zq, s.lam_u, s.lam_v) for s in report.samples], samples)
+        assert got.shape == (len(samples), 4)
         assert report.max_residual_d == got[:, 0].max()
         assert report.max_residual_dbar == got[:, 1].max()
         assert report.max_residual_fd == got[:, 2:].max()

@@ -55,6 +55,11 @@ class TestBuildLattice:
         with pytest.raises(LatticeError):
             ws.build_lattice(1.0, -1j)
 
+    @pytest.mark.parametrize("w1,w2", [(1.0, complex(np.nan, 1.0)), (complex(1.0, np.inf), 1j)])
+    def test_non_finite_generators_rejected(self, w1, w2):
+        with pytest.raises(LatticeError, match="finite"):
+            ws.build_lattice(w1, w2)
+
     def test_truncation_cap(self):
         with pytest.raises(TruncationError):
             ws.build_lattice(1.0, 1j, truncation=8, max_truncation=8)
