@@ -14,8 +14,13 @@ value at a pair of tangent vectors and the tests pin their agreement:
 * ``normalized``: (1/2) conj(e~(v)) . (Im Z)^{-1} . e~(u) in the
   a-normalized basis (requires period data).
 
-All evaluation is batched: tangents of shape (...) give basis values of shape
-(..., g) and kernel values of shape (...); a scalar tangent gives a complex.
+``presentation_spread`` is the largest disagreement among them.
+
+Every function takes the context first and returns plain arrays:
+``reproducing_element`` gives the coefficients of k_u and
+``class_period_vector`` the (a* | b*) coordinates of classes. All evaluation
+is batched: tangents of shape (...) give basis values of shape (..., g) and
+kernel values of shape (...); a scalar tangent gives a complex.
 """
 from __future__ import annotations
 
@@ -101,10 +106,16 @@ def context_from_gram(gram, eval_basis: Callable[[TangentVector], np.ndarray]) -
 
 
 def class_period_vector(ctx: BergmanContext, coeffs, conjugated: bool = False) -> np.ndarray:
-    """Period vector of a class given by working-basis coefficients."""
+    """Coordinates in (a* | b*) of classes given by working-basis coefficients (..., g).
+
+    In the normalized basis a class maps to (coeffs | coeffs @ Z); conjugated
+    classes map to the entrywise conjugate. Shape (..., 2g).
+    """
     if ctx.period_rows is None:
         raise DimensionMismatchError("context has no period data")
     coeffs = np.asarray(coeffs, dtype=complex)
+    if coeffs.shape[-1:] != (ctx.g,):
+        raise DimensionMismatchError(f"expected {ctx.g} coefficients, got shape {coeffs.shape}")
     vec = coeffs @ ctx.period_rows
     return vec.conj() if conjugated else vec
 
@@ -141,18 +152,9 @@ def _as_period(vec: np.ndarray, g: int) -> np.ndarray:
     return vec
 
 
-@dataclass(frozen=True, eq=False)
-class ReproducingElement:
-    """k_u with h(w, k_u) = w(u) for every holomorphic w."""
-
-    context: BergmanContext
-    u: TangentVector
-    coeffs: np.ndarray
-
-
-def reproducing_element(ctx: BergmanContext, u: TangentVector) -> ReproducingElement:
-    """k_u = conj(G^{-1} e(u)), coefficients of shape (..., g)."""
-    return ReproducingElement(context=ctx, u=u, coeffs=np.conj(ctx.eval_basis(u) @ ctx.gram_inv.T))
+def reproducing_element(ctx: BergmanContext, u: TangentVector) -> np.ndarray:
+    """Coefficients (..., g) of k_u = conj(G^{-1} e(u)), so h(w, k_u) = w(u) for holomorphic w."""
+    return np.conj(ctx.eval_basis(u) @ ctx.gram_inv.T)
 
 
 def bergman_eval(ctx: BergmanContext, u: TangentVector, v: TangentVector, presentation: str = "gram"):
@@ -179,11 +181,7 @@ def three_presentation_values(ctx: BergmanContext, u: TangentVector, v: TangentV
     return out
 
 
-def _presentation_spread(values: dict[str, complex]) -> float:
-    """Largest pairwise distance among the presentation values."""
+def presentation_spread(values: dict[str, complex]) -> float:
+    """Largest pairwise distance among the values of ``three_presentation_values``."""
     vals = list(values.values())
     return float(max(abs(a - b) for a in vals for b in vals))
-
-
-def three_presentation_residual(ctx: BergmanContext, u: TangentVector, v: TangentVector) -> float:
-    return _presentation_spread(three_presentation_values(ctx, u, v))

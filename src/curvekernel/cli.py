@@ -37,10 +37,16 @@ def _load_curve_spec(spec: str) -> dict:
         with open(spec, "r", encoding="utf-8") as fh:
             text = fh.read()
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise CurveKernelError(f"curve spec must be a JSON object, got {type(data).__name__}")
     if data.get("type") != "hyperelliptic":
         raise CurveKernelError(f"unsupported curve type {data.get('type')!r}")
     if "f_coeffs" not in data:
         raise CurveKernelError("curve spec is missing 'f_coeffs'")
+    coeffs = data["f_coeffs"]
+    # type(), not isinstance(): JSON true/false load as bool, a subclass of int
+    if not isinstance(coeffs, list) or not all(type(c) in (int, float) for c in coeffs):
+        raise CurveKernelError("'f_coeffs' must be a list of numbers")
     return data
 
 
@@ -61,8 +67,9 @@ def _parse_point(text: str) -> tuple[complex, int, complex]:
     parts = [float(p) for p in text.split(",")]
     if len(parts) != 5:
         raise CurveKernelError("point spec must be five comma-separated reals: xre,xim,sheet,lre,lim")
-    sheet = int(parts[2])
-    return complex(parts[0], parts[1]), sheet, complex(parts[3], parts[4])
+    if parts[2] not in (1.0, -1.0):
+        raise CurveKernelError(f"sheet must be 1 or -1, got {parts[2]!r}")
+    return complex(parts[0], parts[1]), int(parts[2]), complex(parts[3], parts[4])
 
 
 def _emit(report: dict, fmt: str, matrix_key: str = "Z") -> None:
@@ -119,7 +126,7 @@ def cmd_bergman_eval(args) -> int:
     u = periods.tangent(pd.curve, xu, su, lu)
     v = periods.tangent(pd.curve, xv, sv, lv)
     vals = bergman.three_presentation_values(ctx, u, v)
-    residual = bergman._presentation_spread(vals)
+    residual = bergman.presentation_spread(vals)
     report = {
         "command": "bergman-eval",
         "inputs": {"curve": spec, "u": args.u, "v": args.v},
@@ -140,12 +147,10 @@ def cmd_verify_theorem_a(args) -> int:
         n = min(_TRIAL_BLOCK, args.trials - start)
         u = _random_tangents(pd.curve, rng, n)
         v = _random_tangents(pd.curve, rng, n)
-        quad = torelli.KunnethQuadric(
-            omega=rng.standard_normal((n, pd.g)) + 1j * rng.standard_normal((n, pd.g)),
-            omega_prime=rng.standard_normal((n, pd.g)) + 1j * rng.standard_normal((n, pd.g)),
-        )
-        lhs, rhs = torelli.theorem_a_check(quad, u, v, ctx)
-        pairing, claim = torelli.qstar_against_kv_check(quad.omega_prime, v, ctx)
+        omega = rng.standard_normal((n, pd.g)) + 1j * rng.standard_normal((n, pd.g))
+        omega_prime = rng.standard_normal((n, pd.g)) + 1j * rng.standard_normal((n, pd.g))
+        lhs, rhs = torelli.theorem_a_check(ctx, omega, omega_prime, u, v)
+        pairing, claim = torelli.qstar_against_kv_check(ctx, omega_prime, v)
         max_residual = max(max_residual, float(np.abs(lhs - rhs).max()))
         max_pairing_residual = max(max_pairing_residual, float(np.abs(pairing - claim).max()))
     ok = max_residual <= args.tol

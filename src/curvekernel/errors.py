@@ -14,7 +14,7 @@ class DimensionMismatchError(CurveKernelError, ValueError):
 
 
 class ContextMismatchError(CurveKernelError, ValueError):
-    """Operands were built over different complex structures or contexts."""
+    """Operands were built over different complex structures."""
 
 
 class SpanError(CurveKernelError, ValueError):

@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import (
     BranchPointProximityError,
+    CurveError,
     DegreeError,
     DimensionMismatchError,
     RiemannRelationError,
@@ -104,6 +105,8 @@ class CurvePoint:
 def curve_point(curve: HyperellipticCurve, x, sheet=1) -> CurvePoint:
     """The points over x on the given sheets; x and sheet broadcast to one shape."""
     x, sheet = np.broadcast_arrays(np.asarray(x, dtype=complex), np.asarray(sheet))
+    if not np.isfinite(x).all():
+        raise CurveError(f"x must be finite, got {x[~np.isfinite(x)][0]}")
     bad = (sheet != 1) & (sheet != -1)
     if bad.any():
         raise DimensionMismatchError(f"sheet must be +1 or -1, got {sheet[bad][0]}")
@@ -125,7 +128,10 @@ class TangentVector:
 
 
 def tangent(curve: HyperellipticCurve, x, sheet=1, lam=1.0) -> TangentVector:
-    return TangentVector(base=curve_point(curve, x, sheet), lam=np.asarray(lam, dtype=complex)[()])
+    lam = np.asarray(lam, dtype=complex)
+    if not np.isfinite(lam).all():
+        raise CurveError(f"lam must be finite, got {lam[~np.isfinite(lam)][0]}")
+    return TangentVector(base=curve_point(curve, x, sheet), lam=lam[()])
 
 
 def raw_differential_eval(curve: HyperellipticCurve, u: TangentVector) -> np.ndarray:
@@ -224,19 +230,6 @@ class PeriodData:
 def normalized_differential_eval(pd: PeriodData, u: TangentVector) -> np.ndarray:
     """Values of the g a-normalized differentials on u, shape (..., g)."""
     return raw_differential_eval(pd.curve, u) @ pd.N.T
-
-
-def period_vector(pd: PeriodData, coeffs, conjugated: bool = False) -> np.ndarray:
-    """Coordinates in (a* | b*) of a class given in the normalized basis.
-
-    Unconjugated classes map to (coeffs | coeffs @ Z); conjugated ones to
-    the entrywise conjugate.
-    """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if coeffs.shape != (pd.g,):
-        raise DimensionMismatchError(f"expected {pd.g} coefficients, got shape {coeffs.shape}")
-    vec = np.concatenate([coeffs, coeffs @ pd.Z])
-    return vec.conj() if conjugated else vec
 
 
 def transform_cycles(pd: PeriodData, S) -> PeriodData:

@@ -24,6 +24,9 @@ import numpy as np
 from .errors import ContextMismatchError, CurveKernelError, SpMembershipError
 from .symplectic import MATRIX_TOL, ComplexStructure, duality_maps
 
+#: Relative tolerance of the H01 checks on transposed matrices (span membership, vanishing).
+_SPAN_TOL = 1e-8
+
 
 @dataclass(frozen=True, eq=False)
 class SpElement:
@@ -49,7 +52,7 @@ class EndH10:
     m: np.ndarray
 
 
-def _same_context(a, b) -> None:
+def _same_structure(a, b) -> None:
     if a.J_context is not b.J_context:
         raise ContextMismatchError("operands built over different complex structures")
 
@@ -59,13 +62,13 @@ def sp_residual(cs: ComplexStructure, X: np.ndarray) -> float:
     return float(np.linalg.norm(qx - qx.T))
 
 
-def sp_element(cs: ComplexStructure, X, tol: float = MATRIX_TOL) -> SpElement:
+def sp_element(cs: ComplexStructure, X) -> SpElement:
     X = np.asarray(X, dtype=complex)
     n = 2 * cs.g
     if X.shape != (n, n):
         raise SpMembershipError(f"expected a {n}x{n} matrix, got {X.shape}")
     res = sp_residual(cs, X)
-    if res > tol:
+    if res > MATRIX_TOL:
         raise SpMembershipError(f"Q_X is not symmetric (residual {res:.3e})")
     return SpElement(J_context=cs, X=X)
 
@@ -91,7 +94,7 @@ def cartan_project(x: SpElement) -> tuple[SpElement, SpElement]:
 
 def bracket_raw(x: SpElement, y: SpElement) -> SpElement:
     """Matrix commutator XY - YX; maps p x p into the J-commuting part."""
-    _same_context(x, y)
+    _same_structure(x, y)
     return sp_element(x.J_context, x.X @ y.X - y.X @ x.X)
 
 
@@ -106,14 +109,14 @@ def _qstar_pairing_matrix(cs: ComplexStructure) -> np.ndarray:
     return cs.H10.T @ maps.Qstar @ cs.H01
 
 
-def p_tensor(cs: ComplexStructure, t, tol: float = MATRIX_TOL) -> PTensor10:
+def p_tensor(cs: ComplexStructure, t) -> PTensor10:
     t = np.asarray(t, dtype=complex)
     g = cs.g
     if t.shape != (g, g):
         raise SpMembershipError(f"expected a {g}x{g} matrix, got {t.shape}")
     qt = _qstar_pairing_matrix(cs) @ t
     res = np.linalg.norm(qt - qt.T)
-    if res > tol:
+    if res > MATRIX_TOL:
         raise SpMembershipError(f"Qstar_t is not symmetric (residual {res:.3e})")
     return PTensor10(J_context=cs, t=t)
 
@@ -139,18 +142,18 @@ def embed_p10(pt: PTensor10) -> np.ndarray:
     return cs.Vm10 @ s @ extract
 
 
-def extract_p10(cs: ComplexStructure, X: np.ndarray, tol: float = 1e-8) -> PTensor10:
+def extract_p10(cs: ComplexStructure, X: np.ndarray) -> PTensor10:
     """Inverse of ``embed_p10``: read t off the transpose action on H10."""
     target = X.T @ cs.H10
     t, *_ = np.linalg.lstsq(cs.H01, target, rcond=None)
-    if np.linalg.norm(cs.H01 @ t - target) > tol * max(1.0, np.linalg.norm(target)):
+    if np.linalg.norm(cs.H01 @ t - target) > _SPAN_TOL * max(1.0, np.linalg.norm(target)):
         raise SpMembershipError("transpose does not map H10 into the span of H01")
     return p_tensor(cs, t)
 
 
 def type11_vanishing_check(x: PTensor10, y: PTensor10) -> float:
     """Norm of the commutator of two embedded p^{1,0} elements (contract: ~0)."""
-    _same_context(x, y)
+    _same_structure(x, y)
     a = embed_p10(x)
     b = embed_p10(y)
     return float(np.linalg.norm(a @ b - b @ a))
@@ -158,11 +161,11 @@ def type11_vanishing_check(x: PTensor10, y: PTensor10) -> float:
 
 def bracket_identified(s: PTensor10, t: PTensor10) -> EndH10:
     """Bracket in the identified picture: (s, conj t) -> conj(t) s on H10."""
-    _same_context(s, t)
+    _same_structure(s, t)
     return EndH10(J_context=s.J_context, m=np.conj(t.t) @ s.t)
 
 
-def transport_to_dual(cs: ComplexStructure, x, tol: float = MATRIX_TOL) -> np.ndarray:
+def transport_to_dual(cs: ComplexStructure, x) -> np.ndarray:
     """Transpose a matrix to End(V*), verifying the duality lemmas.
 
     Accepts an ``SpElement`` (membership is revalidated and the symmetry of
@@ -172,10 +175,7 @@ def transport_to_dual(cs: ComplexStructure, x, tol: float = MATRIX_TOL) -> np.nd
     if isinstance(x, SpElement):
         if x.J_context is not cs:
             raise ContextMismatchError("element built over a different complex structure")
-        res = sp_residual(cs, x.X)
-        if res > tol:
-            raise SpMembershipError(f"Q_X is not symmetric (residual {res:.3e})")
-        mat = x.X
+        mat = sp_element(cs, x.X).X
         check_sp = True
     else:
         mat = np.asarray(x, dtype=complex)
@@ -184,17 +184,17 @@ def transport_to_dual(cs: ComplexStructure, x, tol: float = MATRIX_TOL) -> np.nd
     maps = duality_maps(cs.space)
     if check_sp:
         qstar_xt = maps.Qstar @ xt
-        if np.linalg.norm(qstar_xt - qstar_xt.T) > tol:
+        if np.linalg.norm(qstar_xt - qstar_xt.T) > MATRIX_TOL:
             raise CurveKernelError("transported form lost its symmetry (internal inconsistency)")
     scale = max(1.0, np.linalg.norm(mat))
-    if np.linalg.norm(mat @ cs.Vm10) <= tol * scale:
+    if np.linalg.norm(mat @ cs.Vm10) <= MATRIX_TOL * scale:
         # X kills the +i eigenspace, so im X^T must lie in the span of H01.
         coeffs, *_ = np.linalg.lstsq(cs.H01, xt, rcond=None)
-        if np.linalg.norm(cs.H01 @ coeffs - xt) > 1e-8 * scale:
+        if np.linalg.norm(cs.H01 @ coeffs - xt) > _SPAN_TOL * scale:
             raise CurveKernelError("image of the transpose escapes H01 (internal inconsistency)")
     im_coeffs, *_ = np.linalg.lstsq(cs.Vm10, mat, rcond=None)
-    if np.linalg.norm(cs.Vm10 @ im_coeffs - mat) <= tol * scale:
+    if np.linalg.norm(cs.Vm10 @ im_coeffs - mat) <= MATRIX_TOL * scale:
         # im X inside the +i eigenspace, so X^T must vanish on H01.
-        if np.linalg.norm(xt @ cs.H01) > 1e-8 * scale:
+        if np.linalg.norm(xt @ cs.H01) > _SPAN_TOL * scale:
             raise CurveKernelError("transpose does not vanish on H01 (internal inconsistency)")
     return xt

@@ -58,14 +58,14 @@ def make_standard_space(g: int) -> SymplecticSpace:
     return SymplecticSpace(g=int(g), Q=standard_q(int(g)))
 
 
-def make_space(g: int, Q: np.ndarray, tol: float = MATRIX_TOL) -> SymplecticSpace:
+def make_space(g: int, Q: np.ndarray) -> SymplecticSpace:
     """Symplectic space with an explicitly supplied antisymmetric form."""
     Q = np.asarray(Q, dtype=float)
     if Q.shape != (2 * g, 2 * g):
         raise DimensionMismatchError(f"Q must be {2 * g}x{2 * g}, got {Q.shape}")
-    if np.linalg.norm(Q + Q.T) > tol:
+    if np.linalg.norm(Q + Q.T) > MATRIX_TOL:
         raise SymplecticInvariantError("Q is not antisymmetric")
-    if abs(np.linalg.det(Q)) < tol:
+    if abs(np.linalg.det(Q)) < MATRIX_TOL:
         raise SymplecticInvariantError("Q is degenerate")
     return SymplecticSpace(g=int(g), Q=Q)
 
@@ -91,14 +91,14 @@ class ComplexStructure:
         return self.space.g
 
 
-def _check_compatible(space: SymplecticSpace, J: np.ndarray, tol: float) -> None:
+def _check_compatible(space: SymplecticSpace, J: np.ndarray) -> None:
     g, Q = space.g, space.Q
     n = 2 * g
     if J.shape != (n, n):
         raise DimensionMismatchError(f"J must be {n}x{n}, got {J.shape}")
-    if np.linalg.norm(J @ J + np.eye(n)) > tol:
+    if np.linalg.norm(J @ J + np.eye(n)) > MATRIX_TOL:
         raise SquareInvariantError("J^2 + I exceeds tolerance: not an almost complex structure")
-    if np.linalg.norm(J.T @ Q @ J - Q) > tol:
+    if np.linalg.norm(J.T @ Q @ J - Q) > MATRIX_TOL:
         raise SymplecticInvariantError("J^T Q J - Q exceeds tolerance: J does not preserve Q")
     gj = Q @ J
     eigmin = np.linalg.eigvalsh((gj + gj.T) / 2).min()
@@ -112,9 +112,7 @@ def _nullspace(m: np.ndarray, rank: int) -> np.ndarray:
     return vh[rank:].conj().T
 
 
-def complex_structure_from_matrix(
-    space: SymplecticSpace, J: np.ndarray, tol: float = MATRIX_TOL
-) -> ComplexStructure:
+def complex_structure_from_matrix(space: SymplecticSpace, J: np.ndarray) -> ComplexStructure:
     """Validate J against (V, Q) and compute its eigenspace data.
 
     Eigenspaces come from the exact spectral projections (I -/+ iJ)/2
@@ -122,7 +120,7 @@ def complex_structure_from_matrix(
     eigenvalues +/-i are known so no general eigensolver is involved.
     """
     J = np.asarray(J, dtype=float)
-    _check_compatible(space, J, tol)
+    _check_compatible(space, J)
     g = space.g
     proj_plus = (np.eye(2 * g) - 1j * J) / 2
     u, _, _ = np.linalg.svd(proj_plus)
@@ -130,12 +128,12 @@ def complex_structure_from_matrix(
     v0m1 = vm10.conj()
     h10 = _nullspace(v0m1.T, g)
     h01 = h10.conj()
-    if np.linalg.norm(h10.T @ v0m1) > tol:
+    if np.linalg.norm(h10.T @ v0m1) > MATRIX_TOL:
         raise SpanError("annihilator basis failed its defining identity")
     return ComplexStructure(space=space, J=J, Vm10=vm10, V0m1=v0m1, H10=h10, H01=h01)
 
 
-def complex_structure_from_period_matrix(Z: np.ndarray, tol: float = MATRIX_TOL) -> ComplexStructure:
+def complex_structure_from_period_matrix(Z: np.ndarray) -> ComplexStructure:
     """Complex structure on the standard space determined by a period matrix.
 
     The holomorphic annihilator H10 is spanned by the rows of (I | Z) in the
@@ -146,7 +144,7 @@ def complex_structure_from_period_matrix(Z: np.ndarray, tol: float = MATRIX_TOL)
     if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
         raise DimensionMismatchError(f"period matrix must be square, got {Z.shape}")
     g = Z.shape[0]
-    if np.linalg.norm(Z - Z.T) > tol:
+    if np.linalg.norm(Z - Z.T) > MATRIX_TOL:
         raise SiegelDomainError("period matrix is not symmetric")
     im_eigmin = np.linalg.eigvalsh(Z.imag).min()
     if im_eigmin <= 0:
@@ -162,10 +160,10 @@ def complex_structure_from_period_matrix(Z: np.ndarray, tol: float = MATRIX_TOL)
     basis = np.hstack([vm10, v0m1])
     d = np.concatenate([np.full(g, 1j), np.full(g, -1j)])
     J = basis @ np.diag(d) @ np.linalg.inv(basis)
-    if np.linalg.norm(J.imag) > tol:
+    if np.linalg.norm(J.imag) > MATRIX_TOL:
         raise SiegelDomainError("derived J is not real; period matrix outside Siegel domain")
     J = J.real
-    _check_compatible(space, J, tol)
+    _check_compatible(space, J)
     return ComplexStructure(space=space, J=J, Vm10=vm10, V0m1=v0m1, H10=h10, H01=h01)
 
 
@@ -200,7 +198,7 @@ def qstar_pairing(maps: DualityMaps, alpha, beta):
     return np.sum((alpha @ maps.Qstar) * beta, -1)
 
 
-def psiQ_as_functional(maps: DualityMaps, cs: ComplexStructure, omega_bar, tol: float = MATRIX_TOL):
+def psiQ_as_functional(maps: DualityMaps, cs: ComplexStructure, omega_bar):
     """The functional psi_Q(omega_bar) = Qstar(omega_bar, .) on H10 covectors.
 
     ``omega_bar`` must lie in the span of H01; the returned callable takes a
@@ -210,7 +208,7 @@ def psiQ_as_functional(maps: DualityMaps, cs: ComplexStructure, omega_bar, tol: 
     omega_bar = np.asarray(omega_bar, dtype=complex)
     coeffs, residual, *_ = np.linalg.lstsq(cs.H01, omega_bar, rcond=None)
     rec = cs.H01 @ coeffs
-    if np.linalg.norm(rec - omega_bar) > tol * max(1.0, np.linalg.norm(omega_bar)):
+    if np.linalg.norm(rec - omega_bar) > MATRIX_TOL * max(1.0, np.linalg.norm(omega_bar)):
         raise SpanError("omega_bar is not in the span of H01")
 
     def functional(lam) -> complex:

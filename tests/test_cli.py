@@ -66,6 +66,29 @@ class TestPeriodsCommand:
         code, _, _ = run_cli(capsys, "periods", "--curve", G1_SPEC, "--quad-order", "4")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            '{"type": "hyperelliptic", "f_coeffs": 5}',
+            '{"type": "hyperelliptic", "f_coeffs": [0, -1, null, 1]}',
+            '{"type": "hyperelliptic", "f_coeffs": [0, -1, 0, true]}',
+        ],
+        ids=["scalar-coeffs", "null-coeff", "bool-coeff"],
+    )
+    def test_malformed_coefficients_are_input_error(self, capsys, spec):
+        code, out, err = run_cli(capsys, "periods", "--curve", spec)
+        assert code == 2
+        assert out == ""
+        assert "CurveKernelError" in json.loads(err)["error"]
+
+    def test_spec_file_holding_a_list_is_input_error(self, capsys, tmp_path):
+        spec = tmp_path / "curve.json"
+        spec.write_text("[0, -1, 0, 1]", encoding="utf-8")
+        code, out, err = run_cli(capsys, "periods", "--curve", str(spec))
+        assert code == 2
+        assert out == ""
+        assert "CurveKernelError" in json.loads(err)["error"]
+
 
 class TestGramCommand:
     def test_identity_residual(self, capsys):
@@ -120,6 +143,23 @@ class TestBergmanEvalCommand:
         )
         assert code == 2
         assert "BranchPointProximityError" in err
+
+    @pytest.mark.parametrize(
+        "u, error",
+        [
+            ("nan,0.0,1,1.0,0.0", "CurveError"),
+            ("2.0,0.0,1,nan,0.0", "CurveError"),
+            ("2.0,0.0,1.7,1.0,0.0", "CurveKernelError"),
+        ],
+        ids=["nan-x", "nan-lam", "fractional-sheet"],
+    )
+    def test_bad_point_is_input_error(self, capsys, u, error):
+        code, out, err = run_cli(
+            capsys, "bergman-eval", "--curve", G1_SPEC, "--u", u, "--v", "0.5,0.7,-1,0.3,-0.2"
+        )
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"].startswith(error + ":")
 
 
 class TestVerifyCommands:

@@ -5,9 +5,10 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from curvekernel import periods
+from curvekernel import bergman, periods
 from curvekernel.errors import (
     BranchPointProximityError,
+    CurveError,
     DegreeError,
     DimensionMismatchError,
     RiemannRelationError,
@@ -118,6 +119,18 @@ class TestDifferentialEval:
     def test_bad_sheet_in_batch_rejected(self, g1_curve):
         with pytest.raises(DimensionMismatchError):
             periods.tangent(g1_curve, np.array([2.0, 0.5 + 0.5j]), np.array([1, 0]), 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.5, np.nan)])
+    def test_non_finite_x_rejected(self, g1_curve, bad):
+        with pytest.raises(CurveError):
+            periods.curve_point(g1_curve, np.array([2.0, bad]))
+        with pytest.raises(CurveError):
+            periods.tangent(g1_curve, bad, 1, 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, complex(np.nan, 1.0)])
+    def test_non_finite_lam_rejected(self, g1_curve, bad):
+        with pytest.raises(CurveError):
+            periods.tangent(g1_curve, np.array([2.0, 0.5 + 0.5j]), 1, np.array([1.0, bad]))
 
 
 def loop_segment_integrals(curve, order):
@@ -250,18 +263,20 @@ class TestNormalizedBasis:
 
 
 class TestPeriodVector:
-    def test_g1_square(self, g1_pd):
-        assert_allclose(periods.period_vector(g1_pd, [1.0]), [1.0, 1j], atol=1e-10)
+    """The normalized-basis case of ``bergman.class_period_vector``."""
 
-    def test_g1_conjugated(self, g1_pd):
-        assert_allclose(periods.period_vector(g1_pd, [1.0], conjugated=True), [1.0, -1j], atol=1e-10)
+    def test_g1_square(self, g1_ctx):
+        assert_allclose(bergman.class_period_vector(g1_ctx, [1.0]), [1.0, 1j], atol=1e-10)
 
-    def test_zero(self, g2_pd):
-        assert_allclose(periods.period_vector(g2_pd, np.zeros(2)), np.zeros(4))
+    def test_g1_conjugated(self, g1_ctx):
+        assert_allclose(bergman.class_period_vector(g1_ctx, [1.0], conjugated=True), [1.0, -1j], atol=1e-10)
 
-    def test_dimension_mismatch(self, g2_pd):
+    def test_zero(self, g2_ctx):
+        assert_allclose(bergman.class_period_vector(g2_ctx, np.zeros(2)), np.zeros(4))
+
+    def test_dimension_mismatch(self, g2_ctx):
         with pytest.raises(DimensionMismatchError):
-            periods.period_vector(g2_pd, np.ones(3))
+            bergman.class_period_vector(g2_ctx, np.ones(3))
 
 
 class TestCycleTransforms:

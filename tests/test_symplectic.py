@@ -211,13 +211,13 @@ class TestPsiQAsFunctional:
         with pytest.raises(SpanError):
             sy.psiQ_as_functional(maps, cs, cs.H10[:, 0])
 
-    def test_curve_backed_structure(self, g2_pd):
+    def test_curve_backed_structure(self, g2_ctx):
         # conjugated period vectors of a curve's normalized basis live in H01
-        from curvekernel import periods
+        from curvekernel import bergman
 
-        cs = sy.complex_structure_from_period_matrix(g2_pd.Z)
+        cs = sy.complex_structure_from_period_matrix(g2_ctx.pd.Z)
         maps = sy.duality_maps(cs.space)
-        omega_bar = periods.period_vector(g2_pd, [0.4 - 0.9j, 1.1 + 0.2j], conjugated=True)
+        omega_bar = bergman.class_period_vector(g2_ctx, [0.4 - 0.9j, 1.1 + 0.2j], conjugated=True)
         functional = sy.psiQ_as_functional(maps, cs, omega_bar)
-        lam = periods.period_vector(g2_pd, [1.0, -0.5j])
+        lam = bergman.class_period_vector(g2_ctx, [1.0, -0.5j])
         assert functional(lam) == pytest.approx(sy.qstar_pairing(maps, omega_bar, lam))

@@ -6,7 +6,6 @@ from conftest import random_curve_tangent, random_tangent_batch
 from numpy.testing import assert_allclose
 
 from curvekernel import bergman, torelli
-from curvekernel.errors import ContextMismatchError
 
 
 def perpendicular_class(ctx, u, rng):
@@ -23,9 +22,9 @@ def closed_form_btilde(ctx, u, v, omega):
     """Oracle: 4 pi^2 w(u) conj(k_u(v)) k_v, assembled from reproducing elements."""
     ku = bergman.reproducing_element(ctx, u)
     kv = bergman.reproducing_element(ctx, v)
-    ku_at_v = bergman.evaluate_class(ctx, ku.coeffs, v)
+    ku_at_v = bergman.evaluate_class(ctx, ku, v)
     omega_u = bergman.evaluate_class(ctx, omega, u)
-    return 4 * np.pi**2 * omega_u * np.conj(ku_at_v) * kv.coeffs
+    return 4 * np.pi**2 * omega_u * np.conj(ku_at_v) * kv
 
 
 class TestSchifferCup:
@@ -33,28 +32,25 @@ class TestSchifferCup:
         rng = np.random.default_rng(0)
         u = random_curve_tangent(g2_curve, rng)
         omega = perpendicular_class(g2_ctx, u, rng)
-        xi = torelli.SchifferVariation(context=g2_ctx, u=u)
-        assert np.linalg.norm(torelli.schiffer_cup(xi, omega)) <= 1e-10
+        assert np.linalg.norm(torelli.schiffer_cup(g2_ctx, u, omega)) <= 1e-10
 
     def test_linear_in_omega(self, g2_curve, g2_ctx):
         rng = np.random.default_rng(1)
         u = random_curve_tangent(g2_curve, rng)
-        xi = torelli.SchifferVariation(context=g2_ctx, u=u)
         a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         s = 1.3 - 0.7j
-        lhs = torelli.schiffer_cup(xi, s * a + b)
-        rhs = s * torelli.schiffer_cup(xi, a) + torelli.schiffer_cup(xi, b)
+        lhs = torelli.schiffer_cup(g2_ctx, u, s * a + b)
+        rhs = s * torelli.schiffer_cup(g2_ctx, u, a) + torelli.schiffer_cup(g2_ctx, u, b)
         assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_g1_assembly(self, g1_curve, g1_ctx):
         rng = np.random.default_rng(2)
         u = random_curve_tangent(g1_curve, rng)
         omega = np.array([0.8 - 0.1j])
-        xi = torelli.SchifferVariation(context=g1_ctx, u=u)
-        out = torelli.schiffer_cup(xi, omega)
+        out = torelli.schiffer_cup(g1_ctx, u, omega)
         ku = bergman.reproducing_element(g1_ctx, u)
-        expected = -2 * np.pi * bergman.evaluate_class(g1_ctx, omega, u) * np.conj(ku.coeffs)
+        expected = -2 * np.pi * bergman.evaluate_class(g1_ctx, omega, u) * np.conj(ku)
         assert_allclose(out, expected, atol=1e-12)
 
 
@@ -64,9 +60,7 @@ class TestBtilde:
         u = random_curve_tangent(g2_curve, rng)
         v = random_curve_tangent(g2_curve, rng)
         omega = perpendicular_class(g2_ctx, u, rng)
-        xi_u = torelli.SchifferVariation(context=g2_ctx, u=u)
-        xi_v = torelli.SchifferVariation(context=g2_ctx, u=v)
-        assert np.linalg.norm(torelli.btilde_apply(xi_u, xi_v, omega)) <= 1e-10
+        assert np.linalg.norm(torelli.btilde_apply(g2_ctx, u, v, omega)) <= 1e-10
 
     def test_composed_route_matches_closed_form(self, g2_curve, g2_ctx):
         rng = np.random.default_rng(4)
@@ -74,9 +68,7 @@ class TestBtilde:
             u = random_curve_tangent(g2_curve, rng)
             v = random_curve_tangent(g2_curve, rng)
             omega = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            xi_u = torelli.SchifferVariation(context=g2_ctx, u=u)
-            xi_v = torelli.SchifferVariation(context=g2_ctx, u=v)
-            composed = torelli.btilde_apply(xi_u, xi_v, omega)
+            composed = torelli.btilde_apply(g2_ctx, u, v, omega)
             oracle = closed_form_btilde(g2_ctx, u, v, omega)
             assert np.linalg.norm(composed - oracle) <= 1e-10 * max(1.0, np.linalg.norm(oracle))
 
@@ -85,17 +77,8 @@ class TestBtilde:
         u = random_curve_tangent(g1_curve, rng)
         v = random_curve_tangent(g1_curve, rng)
         omega = np.array([1.0 + 0.5j])
-        xi_u = torelli.SchifferVariation(context=g1_ctx, u=u)
-        xi_v = torelli.SchifferVariation(context=g1_ctx, u=v)
-        composed = torelli.btilde_apply(xi_u, xi_v, omega)
+        composed = torelli.btilde_apply(g1_ctx, u, v, omega)
         assert_allclose(composed, closed_form_btilde(g1_ctx, u, v, omega), atol=1e-12)
-
-    def test_context_mismatch(self, g1_ctx, g2_ctx, g1_curve, g2_curve):
-        rng = np.random.default_rng(6)
-        xi_u = torelli.SchifferVariation(context=g1_ctx, u=random_curve_tangent(g1_curve, rng))
-        xi_v = torelli.SchifferVariation(context=g2_ctx, u=random_curve_tangent(g2_curve, rng))
-        with pytest.raises(ContextMismatchError):
-            torelli.btilde_apply(xi_u, xi_v, np.array([1.0]))
 
 
 class TestTheoremA:
@@ -104,8 +87,7 @@ class TestTheoremA:
         u = random_curve_tangent(g2_curve, rng)
         v = random_curve_tangent(g2_curve, rng)
         omega = perpendicular_class(g2_ctx, u, rng)
-        quad = torelli.KunnethQuadric(omega=omega, omega_prime=np.array([1.0, 1.0j]))
-        lhs, rhs = torelli.theorem_a_check(quad, u, v, g2_ctx)
+        lhs, rhs = torelli.theorem_a_check(g2_ctx, omega, np.array([1.0, 1.0j]), u, v)
         assert abs(lhs) <= 1e-10
         assert abs(rhs) <= 1e-10
 
@@ -114,11 +96,9 @@ class TestTheoremA:
         for _ in range(25):
             u = random_curve_tangent(g1_curve, rng)
             v = random_curve_tangent(g1_curve, rng)
-            quad = torelli.KunnethQuadric(
-                omega=rng.standard_normal(1) + 1j * rng.standard_normal(1),
-                omega_prime=rng.standard_normal(1) + 1j * rng.standard_normal(1),
-            )
-            lhs, rhs = torelli.theorem_a_check(quad, u, v, g1_ctx)
+            omega = rng.standard_normal(1) + 1j * rng.standard_normal(1)
+            omega_prime = rng.standard_normal(1) + 1j * rng.standard_normal(1)
+            lhs, rhs = torelli.theorem_a_check(g1_ctx, omega, omega_prime, u, v)
             assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
 
     def test_g2_random(self, g2_curve, g2_ctx):
@@ -126,11 +106,9 @@ class TestTheoremA:
         for _ in range(25):
             u = random_curve_tangent(g2_curve, rng)
             v = random_curve_tangent(g2_curve, rng)
-            quad = torelli.KunnethQuadric(
-                omega=rng.standard_normal(2) + 1j * rng.standard_normal(2),
-                omega_prime=rng.standard_normal(2) + 1j * rng.standard_normal(2),
-            )
-            lhs, rhs = torelli.theorem_a_check(quad, u, v, g2_ctx)
+            omega = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            omega_prime = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            lhs, rhs = torelli.theorem_a_check(g2_ctx, omega, omega_prime, u, v)
             assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs))
 
     def test_sesquilinear_structure(self, g2_curve, g2_ctx):
@@ -140,12 +118,8 @@ class TestTheoremA:
         omega = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         omega_prime = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         s = 0.8 + 0.45j
-        base = torelli.theorem_a_check(
-            torelli.KunnethQuadric(omega=omega, omega_prime=omega_prime), u, v, g2_ctx
-        )
-        scaled = torelli.theorem_a_check(
-            torelli.KunnethQuadric(omega=s * omega, omega_prime=omega_prime), u, v, g2_ctx
-        )
+        base = torelli.theorem_a_check(g2_ctx, omega, omega_prime, u, v)
+        scaled = torelli.theorem_a_check(g2_ctx, s * omega, omega_prime, u, v)
         assert scaled[0] == pytest.approx(s * base[0])
         assert scaled[1] == pytest.approx(s * base[1])
 
@@ -158,12 +132,10 @@ class TestTheoremA:
         v = random_curve_tangent(g2_curve, rng)
         c = 1.7 - 0.3j
         cu = periods.TangentVector(base=u.base, lam=c * u.lam)
-        quad = torelli.KunnethQuadric(
-            omega=rng.standard_normal(2) + 1j * rng.standard_normal(2),
-            omega_prime=rng.standard_normal(2) + 1j * rng.standard_normal(2),
-        )
-        base = torelli.theorem_a_check(quad, u, v, g2_ctx)
-        scaled = torelli.theorem_a_check(quad, cu, v, g2_ctx)
+        omega = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        omega_prime = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        base = torelli.theorem_a_check(g2_ctx, omega, omega_prime, u, v)
+        scaled = torelli.theorem_a_check(g2_ctx, omega, omega_prime, cu, v)
         assert scaled[0] == pytest.approx(c**2 * base[0])
         assert scaled[1] == pytest.approx(c**2 * base[1])
 
@@ -173,7 +145,7 @@ class TestQstarAgainstKv:
         rng = np.random.default_rng(12)
         v = random_curve_tangent(g2_curve, rng)
         omega_prime = perpendicular_class(g2_ctx, v, rng)
-        pairing, claim = torelli.qstar_against_kv_check(omega_prime, v, g2_ctx)
+        pairing, claim = torelli.qstar_against_kv_check(g2_ctx, omega_prime, v)
         assert abs(claim) <= 1e-12
         assert abs(pairing) <= 1e-10
 
@@ -181,7 +153,7 @@ class TestQstarAgainstKv:
         rng = np.random.default_rng(13)
         v = random_curve_tangent(g1_curve, rng)
         omega_prime = np.array([0.9 + 0.2j])
-        pairing, claim = torelli.qstar_against_kv_check(omega_prime, v, g1_ctx)
+        pairing, claim = torelli.qstar_against_kv_check(g1_ctx, omega_prime, v)
         w_prime_v = bergman.evaluate_class(g1_ctx, omega_prime, v)
         assert claim == pytest.approx(1j * np.conj(w_prime_v))
         assert pairing == pytest.approx(claim, abs=1e-12)
@@ -191,7 +163,7 @@ class TestQstarAgainstKv:
         for _ in range(25):
             v = random_curve_tangent(g2_curve, rng)
             omega_prime = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            pairing, claim = torelli.qstar_against_kv_check(omega_prime, v, g2_ctx)
+            pairing, claim = torelli.qstar_against_kv_check(g2_ctx, omega_prime, v)
             assert abs(pairing - claim) <= 1e-9 * max(1.0, abs(claim))
 
 
@@ -206,11 +178,11 @@ class TestBatchedChecks:
         vs, v = random_tangent_batch(ctx.pd.curve, rng, 64)
         omega = rng.standard_normal((64, ctx.g)) + 1j * rng.standard_normal((64, ctx.g))
         omega_prime = rng.standard_normal((64, ctx.g)) + 1j * rng.standard_normal((64, ctx.g))
-        lhs, rhs = torelli.theorem_a_check(torelli.KunnethQuadric(omega, omega_prime), u, v, ctx)
+        lhs, rhs = torelli.theorem_a_check(ctx, omega, omega_prime, u, v)
         assert lhs.shape == rhs.shape == (64,)
         scalar = np.array(
             [
-                torelli.theorem_a_check(torelli.KunnethQuadric(w, wp), a, b, ctx)
+                torelli.theorem_a_check(ctx, w, wp, a, b)
                 for w, wp, a, b in zip(omega, omega_prime, us, vs)
             ]
         )
@@ -222,8 +194,8 @@ class TestBatchedChecks:
         rng = np.random.default_rng(31)
         vs, v = random_tangent_batch(ctx.pd.curve, rng, 64)
         omega_prime = rng.standard_normal((64, ctx.g)) + 1j * rng.standard_normal((64, ctx.g))
-        pairing, claim = torelli.qstar_against_kv_check(omega_prime, v, ctx)
+        pairing, claim = torelli.qstar_against_kv_check(ctx, omega_prime, v)
         assert pairing.shape == claim.shape == (64,)
-        scalar = np.array([torelli.qstar_against_kv_check(wp, b, ctx) for wp, b in zip(omega_prime, vs)])
+        scalar = np.array([torelli.qstar_against_kv_check(ctx, wp, b) for wp, b in zip(omega_prime, vs)])
         assert_allclose(pairing, scalar[:, 0], rtol=1e-13, atol=0)
         assert_allclose(claim, scalar[:, 1], rtol=1e-13, atol=0)
