@@ -13,10 +13,6 @@ class DimensionMismatchError(CurveKernelError, ValueError):
     """Vector or matrix arguments have incompatible shapes."""
 
 
-class ContextMismatchError(CurveKernelError, ValueError):
-    """Operands were built over different complex structures."""
-
-
 class SpanError(CurveKernelError, ValueError):
     """A vector does not lie in the subspace required by the operation."""
 

@@ -110,7 +110,10 @@ def curve_point(curve: HyperellipticCurve, x, sheet=1) -> CurvePoint:
     bad = (sheet != 1) & (sheet != -1)
     if bad.any():
         raise DimensionMismatchError(f"sheet must be +1 or -1, got {sheet[bad][0]}")
-    y = sheet * np.sqrt(curve.f(x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = sheet * np.sqrt(curve.f(x))
+    if not np.isfinite(y).all():
+        raise CurveError(f"f(x) overflows at x = {x[~np.isfinite(y)][0]}")
     near = np.abs(y) <= BRANCH_EXCLUSION
     if near.any():
         raise BranchPointProximityError(

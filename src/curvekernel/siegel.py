@@ -9,52 +9,26 @@ separate:
 * the endomorphism picture: X in End(V_C) vanishing on the +i eigenspace
   with image inside it (``embed_p10``);
 * the identified picture: a g x g matrix t mapping H10 to H01 in the
-  stored annihilator bases (``PTensor10``), with the symmetry of
+  stored annihilator bases (``p_tensor``), with the symmetry of
   Qstar(., t .) as membership condition.
+
+Every function takes the ``ComplexStructure`` first and works on plain
+arrays. A function that takes an algebra element X or a p^{1,0} tensor t
+validates it on entry with ``sp_element`` or ``p_tensor``, which raise
+``SpMembershipError`` for a non-member, non-finite or misshapen array.
 
 ``bracket_identified`` computes conj(t) s in the second picture, and the
 tests pin it against transporting the raw commutator to the dual space.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ContextMismatchError, CurveKernelError, SpMembershipError
+from .errors import CurveKernelError, SpMembershipError
 from .symplectic import MATRIX_TOL, ComplexStructure, duality_maps
 
 #: Relative tolerance of the H01 checks on transposed matrices (span membership, vanishing).
 _SPAN_TOL = 1e-8
-
-
-@dataclass(frozen=True, eq=False)
-class SpElement:
-    """A matrix in the complexified symplectic algebra over a fixed J."""
-
-    J_context: ComplexStructure
-    X: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class PTensor10:
-    """A p^{1,0} element as a g x g matrix t: H10 -> H01 in the stored bases."""
-
-    J_context: ComplexStructure
-    t: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class EndH10:
-    """An endomorphism of H10 in the stored basis (target of the bracket)."""
-
-    J_context: ComplexStructure
-    m: np.ndarray
-
-
-def _same_structure(a, b) -> None:
-    if a.J_context is not b.J_context:
-        raise ContextMismatchError("operands built over different complex structures")
 
 
 def sp_residual(cs: ComplexStructure, X: np.ndarray) -> float:
@@ -62,18 +36,19 @@ def sp_residual(cs: ComplexStructure, X: np.ndarray) -> float:
     return float(np.linalg.norm(qx - qx.T))
 
 
-def sp_element(cs: ComplexStructure, X) -> SpElement:
+def sp_element(cs: ComplexStructure, X) -> np.ndarray:
+    """X as a complex 2g x 2g array, checked to lie in the symplectic algebra."""
     X = np.asarray(X, dtype=complex)
     n = 2 * cs.g
-    if X.shape != (n, n):
-        raise SpMembershipError(f"expected a {n}x{n} matrix, got {X.shape}")
+    if X.shape != (n, n) or not np.isfinite(X).all():
+        raise SpMembershipError(f"expected a finite {n}x{n} matrix, got shape {X.shape}")
     res = sp_residual(cs, X)
     if res > MATRIX_TOL:
         raise SpMembershipError(f"Q_X is not symmetric (residual {res:.3e})")
-    return SpElement(J_context=cs, X=X)
+    return X
 
 
-def random_sp_element(cs: ComplexStructure, rng: np.random.Generator, real: bool = False) -> SpElement:
+def random_sp_element(cs: ComplexStructure, rng: np.random.Generator, real: bool = False) -> np.ndarray:
     """Random algebra element X = Q^{-1} S with S symmetric."""
     n = 2 * cs.g
     s = rng.standard_normal((n, n))
@@ -83,19 +58,19 @@ def random_sp_element(cs: ComplexStructure, rng: np.random.Generator, real: bool
     return sp_element(cs, np.linalg.solve(cs.space.Q, s))
 
 
-def cartan_project(x: SpElement) -> tuple[SpElement, SpElement]:
+def cartan_project(cs: ComplexStructure, X) -> tuple[np.ndarray, np.ndarray]:
     """Split X into the J-commuting part and the J-anticommuting part."""
-    cs = x.J_context
+    X = sp_element(cs, X)
     j = cs.J
-    k_part = (x.X - j @ x.X @ j) / 2
-    p_part = (x.X + j @ x.X @ j) / 2
+    k_part = (X - j @ X @ j) / 2
+    p_part = (X + j @ X @ j) / 2
     return sp_element(cs, k_part), sp_element(cs, p_part)
 
 
-def bracket_raw(x: SpElement, y: SpElement) -> SpElement:
+def bracket_raw(cs: ComplexStructure, X, Y) -> np.ndarray:
     """Matrix commutator XY - YX; maps p x p into the J-commuting part."""
-    _same_structure(x, y)
-    return sp_element(x.J_context, x.X @ y.X - y.X @ x.X)
+    X, Y = sp_element(cs, X), sp_element(cs, Y)
+    return sp_element(cs, X @ Y - Y @ X)
 
 
 def ad_j_half(cs: ComplexStructure, X: np.ndarray) -> np.ndarray:
@@ -109,41 +84,44 @@ def _qstar_pairing_matrix(cs: ComplexStructure) -> np.ndarray:
     return cs.H10.T @ maps.Qstar @ cs.H01
 
 
-def p_tensor(cs: ComplexStructure, t) -> PTensor10:
+def p_tensor(cs: ComplexStructure, t) -> np.ndarray:
+    """t as a complex g x g array, checked to be a p^{1,0} tensor: H10 -> H01."""
     t = np.asarray(t, dtype=complex)
     g = cs.g
-    if t.shape != (g, g):
-        raise SpMembershipError(f"expected a {g}x{g} matrix, got {t.shape}")
+    if t.shape != (g, g) or not np.isfinite(t).all():
+        raise SpMembershipError(f"expected a finite {g}x{g} matrix, got shape {t.shape}")
     qt = _qstar_pairing_matrix(cs) @ t
     res = np.linalg.norm(qt - qt.T)
     if res > MATRIX_TOL:
         raise SpMembershipError(f"Qstar_t is not symmetric (residual {res:.3e})")
-    return PTensor10(J_context=cs, t=t)
+    return t
 
 
-def random_p_tensor(cs: ComplexStructure, rng: np.random.Generator) -> PTensor10:
+def random_p_tensor(cs: ComplexStructure, rng: np.random.Generator) -> np.ndarray:
     g = cs.g
     s = rng.standard_normal((g, g)) + 1j * rng.standard_normal((g, g))
     s = s + s.T
     return p_tensor(cs, np.linalg.solve(_qstar_pairing_matrix(cs), s))
 
 
-def embed_p10(pt: PTensor10) -> np.ndarray:
+def embed_p10(cs: ComplexStructure, t) -> np.ndarray:
     """Endomorphism of V_C with transpose acting as t on H10.
 
     The result vanishes on the +i eigenspace and has image inside it; its
     transpose sends the H10 basis to H01 @ t.
     """
-    cs = pt.J_context
+    t = p_tensor(cs, t)
     g = cs.g
     basis = np.hstack([cs.Vm10, cs.V0m1])
     extract = np.linalg.inv(basis)[g:, :]  # coordinates along V0m1
-    s = np.linalg.solve(cs.H10.T @ cs.Vm10, pt.t.T @ (cs.H01.T @ cs.V0m1))
+    s = np.linalg.solve(cs.H10.T @ cs.Vm10, t.T @ (cs.H01.T @ cs.V0m1))
     return cs.Vm10 @ s @ extract
 
 
-def extract_p10(cs: ComplexStructure, X: np.ndarray) -> PTensor10:
+def extract_p10(cs: ComplexStructure, X: np.ndarray) -> np.ndarray:
     """Inverse of ``embed_p10``: read t off the transpose action on H10."""
+    if not np.isfinite(X).all():
+        raise SpMembershipError("matrix has non-finite entries")
     target = X.T @ cs.H10
     t, *_ = np.linalg.lstsq(cs.H01, target, rcond=None)
     if np.linalg.norm(cs.H01 @ t - target) > _SPAN_TOL * max(1.0, np.linalg.norm(target)):
@@ -151,38 +129,32 @@ def extract_p10(cs: ComplexStructure, X: np.ndarray) -> PTensor10:
     return p_tensor(cs, t)
 
 
-def type11_vanishing_check(x: PTensor10, y: PTensor10) -> float:
+def type11_vanishing_check(cs: ComplexStructure, s, t) -> float:
     """Norm of the commutator of two embedded p^{1,0} elements (contract: ~0)."""
-    _same_structure(x, y)
-    a = embed_p10(x)
-    b = embed_p10(y)
+    a = embed_p10(cs, s)
+    b = embed_p10(cs, t)
     return float(np.linalg.norm(a @ b - b @ a))
 
 
-def bracket_identified(s: PTensor10, t: PTensor10) -> EndH10:
+def bracket_identified(cs: ComplexStructure, s, t) -> np.ndarray:
     """Bracket in the identified picture: (s, conj t) -> conj(t) s on H10."""
-    _same_structure(s, t)
-    return EndH10(J_context=s.J_context, m=np.conj(t.t) @ s.t)
+    s, t = p_tensor(cs, s), p_tensor(cs, t)
+    return np.conj(t) @ s
 
 
-def transport_to_dual(cs: ComplexStructure, x) -> np.ndarray:
+def transport_to_dual(cs: ComplexStructure, X) -> np.ndarray:
     """Transpose a matrix to End(V*), verifying the duality lemmas.
 
-    Accepts an ``SpElement`` (membership is revalidated and the symmetry of
-    the transported form is checked) or a plain matrix (transpose only,
-    with the conditional image/vanishing checks when they apply).
+    Each check runs when it applies: the symmetry of the transported form
+    when X lies in the symplectic algebra, and the image and vanishing
+    checks when X kills the +i eigenspace or maps into it.
     """
-    if isinstance(x, SpElement):
-        if x.J_context is not cs:
-            raise ContextMismatchError("element built over a different complex structure")
-        mat = sp_element(cs, x.X).X
-        check_sp = True
-    else:
-        mat = np.asarray(x, dtype=complex)
-        check_sp = False
+    mat = np.asarray(X, dtype=complex)
+    if not np.isfinite(mat).all():
+        raise SpMembershipError("matrix has non-finite entries")
     xt = mat.T
     maps = duality_maps(cs.space)
-    if check_sp:
+    if sp_residual(cs, mat) <= MATRIX_TOL:
         qstar_xt = maps.Qstar @ xt
         if np.linalg.norm(qstar_xt - qstar_xt.T) > MATRIX_TOL:
             raise CurveKernelError("transported form lost its symmetry (internal inconsistency)")

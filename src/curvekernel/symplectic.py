@@ -8,8 +8,8 @@ the duality maps between V and V* together with the dual symplectic form.
 
 Coordinate conventions, fixed once for the whole package:
 
-* ``Q`` defaults to the standard block form with upper-right identity,
-  so Q(a_i, b_j) = delta_ij for the basis {a_1..a_g, b_1..b_g}.
+* ``Q`` is the standard block form with upper-right identity, so
+  Q(a_i, b_j) = delta_ij for the basis {a_1..a_g, b_1..b_g}.
 * A cohomology class has coordinates (a-periods | b-periods) in the dual
   basis {a*, b*}; the dual form is the same standard block matrix, so
   Qstar(a*_i, b*_j) = delta_ij.
@@ -58,18 +58,6 @@ def make_standard_space(g: int) -> SymplecticSpace:
     return SymplecticSpace(g=int(g), Q=standard_q(int(g)))
 
 
-def make_space(g: int, Q: np.ndarray) -> SymplecticSpace:
-    """Symplectic space with an explicitly supplied antisymmetric form."""
-    Q = np.asarray(Q, dtype=float)
-    if Q.shape != (2 * g, 2 * g):
-        raise DimensionMismatchError(f"Q must be {2 * g}x{2 * g}, got {Q.shape}")
-    if np.linalg.norm(Q + Q.T) > MATRIX_TOL:
-        raise SymplecticInvariantError("Q is not antisymmetric")
-    if abs(np.linalg.det(Q)) < MATRIX_TOL:
-        raise SymplecticInvariantError("Q is degenerate")
-    return SymplecticSpace(g=int(g), Q=Q)
-
-
 @dataclass(frozen=True, eq=False)
 class ComplexStructure:
     """A compatible complex structure J with its eigenspace/annihilator bases.
@@ -96,6 +84,8 @@ def _check_compatible(space: SymplecticSpace, J: np.ndarray) -> None:
     n = 2 * g
     if J.shape != (n, n):
         raise DimensionMismatchError(f"J must be {n}x{n}, got {J.shape}")
+    if not np.isfinite(J).all():
+        raise SquareInvariantError("J has non-finite entries")
     if np.linalg.norm(J @ J + np.eye(n)) > MATRIX_TOL:
         raise SquareInvariantError("J^2 + I exceeds tolerance: not an almost complex structure")
     if np.linalg.norm(J.T @ Q @ J - Q) > MATRIX_TOL:
@@ -143,6 +133,8 @@ def complex_structure_from_period_matrix(Z: np.ndarray) -> ComplexStructure:
     Z = np.asarray(Z, dtype=complex)
     if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
         raise DimensionMismatchError(f"period matrix must be square, got {Z.shape}")
+    if not np.isfinite(Z).all():
+        raise SiegelDomainError("period matrix has non-finite entries")
     g = Z.shape[0]
     if np.linalg.norm(Z - Z.T) > MATRIX_TOL:
         raise SiegelDomainError("period matrix is not symmetric")
@@ -206,6 +198,8 @@ def psiQ_as_functional(maps: DualityMaps, cs: ComplexStructure, omega_bar):
     with applying the matrix psi_Q and then the canonical pairing.
     """
     omega_bar = np.asarray(omega_bar, dtype=complex)
+    if not np.isfinite(omega_bar).all():
+        raise SpanError("omega_bar has non-finite entries")
     coeffs, residual, *_ = np.linalg.lstsq(cs.H01, omega_bar, rcond=None)
     rec = cs.H01 @ coeffs
     if np.linalg.norm(rec - omega_bar) > MATRIX_TOL * max(1.0, np.linalg.norm(omega_bar)):

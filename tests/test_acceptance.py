@@ -103,27 +103,25 @@ def test_criterion_4_siegel_algebra_suite():
         j = cs.J
         for _ in range(100):
             x = siegel.random_sp_element(cs, rng)
-            k_part, p_part = siegel.cartan_project(x)
-            worst_recombine = max(
-                worst_recombine, float(np.linalg.norm(k_part.X + p_part.X - x.X))
-            )
+            k_part, p_part = siegel.cartan_project(cs, x)
+            worst_recombine = max(worst_recombine, float(np.linalg.norm(k_part + p_part - x)))
             worst_commute = max(
                 worst_commute,
-                float(np.linalg.norm(k_part.X @ j - j @ k_part.X)),
-                float(np.linalg.norm(p_part.X @ j + j @ p_part.X)),
+                float(np.linalg.norm(k_part @ j - j @ k_part)),
+                float(np.linalg.norm(p_part @ j + j @ p_part)),
             )
-            xr = siegel.cartan_project(siegel.random_sp_element(cs, rng, real=True))[1]
-            yr = siegel.cartan_project(siegel.random_sp_element(cs, rng, real=True))[1]
-            br = siegel.bracket_raw(xr, yr).X
+            xr = siegel.cartan_project(cs, siegel.random_sp_element(cs, rng, real=True))[1]
+            yr = siegel.cartan_project(cs, siegel.random_sp_element(cs, rng, real=True))[1]
+            br = siegel.bracket_raw(cs, xr, yr)
             worst_pp_in_k = max(worst_pp_in_k, float(np.linalg.norm(br @ j - j @ br)))
             s = siegel.random_p_tensor(cs, rng)
             t = siegel.random_p_tensor(cs, rng)
-            worst_type11 = max(worst_type11, siegel.type11_vanishing_check(s, t))
-            xs, xt = siegel.embed_p10(s), siegel.embed_p10(t)
+            worst_type11 = max(worst_type11, siegel.type11_vanishing_check(cs, s, t))
+            xs, xt = siegel.embed_p10(cs, s), siegel.embed_p10(cs, t)
             raw = xs @ np.conj(xt) - np.conj(xt) @ xs
             m, *_ = np.linalg.lstsq(cs.H10, raw.T @ cs.H10, rcond=None)
             worst_two_path = max(
-                worst_two_path, float(np.linalg.norm(m - siegel.bracket_identified(s, t).m))
+                worst_two_path, float(np.linalg.norm(m - siegel.bracket_identified(cs, s, t)))
             )
     elapsed = time.perf_counter() - start
     worst = max(worst_recombine, worst_commute, worst_pp_in_k, worst_type11, worst_two_path)

@@ -150,8 +150,9 @@ class TestBergmanEvalCommand:
             ("nan,0.0,1,1.0,0.0", "CurveError"),
             ("2.0,0.0,1,nan,0.0", "CurveError"),
             ("2.0,0.0,1.7,1.0,0.0", "CurveKernelError"),
+            ("1e200,0.0,1,1.0,0.0", "CurveError"),
         ],
-        ids=["nan-x", "nan-lam", "fractional-sheet"],
+        ids=["nan-x", "nan-lam", "fractional-sheet", "overflowing-x"],
     )
     def test_bad_point_is_input_error(self, capsys, u, error):
         code, out, err = run_cli(
@@ -160,6 +161,27 @@ class TestBergmanEvalCommand:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"].startswith(error + ":")
+
+    def test_pass_is_relative_to_kernel_scale(self, capsys):
+        # values near 6.7e9: a spread of about 1e-6 is 16 digits of agreement
+        code, out, _ = run_cli(
+            capsys, "bergman-eval", "--curve", G1_SPEC, "--u", "2.0,0.0,1,1e6,0.0", "--v", "0.5,0.7,-1,1e6,-0.2"
+        )
+        assert code == 0
+        report = json.loads(out)
+        scale = max(abs(complex(*val)) for val in report["results"].values())
+        assert report["residuals"]["presentation_spread"] <= 1e-10 * scale
+
+    # the kernel values overflow on purpose; the report must not print them
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_report_is_input_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "bergman-eval", "--curve", G1_SPEC, "--u", "2.0,0.0,1,1e300,0.0", "--v", "0.5,0.7,-1,1e300,0"
+        )
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"].startswith("ValueError:")
 
 
 class TestVerifyCommands:

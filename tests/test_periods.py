@@ -127,6 +127,12 @@ class TestDifferentialEval:
         with pytest.raises(CurveError):
             periods.tangent(g1_curve, bad, 1, 1.0)
 
+    @pytest.mark.parametrize("x", [1e200, complex(0.5, -1e120)])
+    def test_overflowing_f_rejected(self, g1_curve, x):
+        # x is finite but f(x) = x^3 - x is not
+        with pytest.raises(CurveError):
+            periods.curve_point(g1_curve, np.array([2.0, x]))
+
     @pytest.mark.parametrize("bad", [np.nan, -np.inf, complex(np.nan, 1.0)])
     def test_non_finite_lam_rejected(self, g1_curve, bad):
         with pytest.raises(CurveError):

@@ -34,16 +34,6 @@ def test_standard_space_rejects_g0():
         sy.make_standard_space(0)
 
 
-def test_make_space_validates_form():
-    q = np.array([[0.0, 2.0], [-2.0, 0.0]])
-    space = sy.make_space(1, q)
-    assert space.g == 1
-    with pytest.raises(SymplecticInvariantError):
-        sy.make_space(1, np.eye(2))  # not antisymmetric
-    with pytest.raises(SymplecticInvariantError):
-        sy.make_space(1, np.zeros((2, 2)))  # degenerate
-
-
 class TestComplexStructureFromMatrix:
     def test_valid_g1(self):
         space = sy.make_standard_space(1)
