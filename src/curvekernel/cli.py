@@ -126,8 +126,11 @@ def cmd_bergman_eval(args) -> int:
     xv, sv, lv = _parse_point(args.v)
     u = periods.tangent(pd.curve, xu, su, lu)
     v = periods.tangent(pd.curve, xv, sv, lv)
-    vals = bergman.three_presentation_values(ctx, u, v)
-    residual = bergman.presentation_spread(vals)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = bergman.three_presentation_values(ctx, u, v)
+        residual = bergman.presentation_spread(vals)
+    if not np.isfinite([*vals.values(), residual]).all():
+        raise ValueError(f"kernel value overflows float64 at |lam_u| = {abs(lu):.3g}, |lam_v| = {abs(lv):.3g}")
     scale = max(1.0, max(abs(val) for val in vals.values()))
     report = {
         "command": "bergman-eval",

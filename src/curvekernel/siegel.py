@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CurveKernelError, SpMembershipError
-from .symplectic import MATRIX_TOL, ComplexStructure, duality_maps
+from .symplectic import MATRIX_TOL, ComplexStructure
 
 #: Relative tolerance of the H01 checks on transposed matrices (span membership, vanishing).
 _SPAN_TOL = 1e-8
@@ -79,9 +79,8 @@ def ad_j_half(cs: ComplexStructure, X: np.ndarray) -> np.ndarray:
 
 
 def _qstar_pairing_matrix(cs: ComplexStructure) -> np.ndarray:
-    """K with K @ t = matrix of Qstar(., t .) restricted to H10."""
-    maps = duality_maps(cs.space)
-    return cs.H10.T @ maps.Qstar @ cs.H01
+    """K with K @ t = matrix of Qstar(., t .) restricted to H10; Qstar = -Q^{-1} = Q."""
+    return cs.H10.T @ cs.space.Q @ cs.H01
 
 
 def p_tensor(cs: ComplexStructure, t) -> np.ndarray:
@@ -153,9 +152,8 @@ def transport_to_dual(cs: ComplexStructure, X) -> np.ndarray:
     if not np.isfinite(mat).all():
         raise SpMembershipError("matrix has non-finite entries")
     xt = mat.T
-    maps = duality_maps(cs.space)
     if sp_residual(cs, mat) <= MATRIX_TOL:
-        qstar_xt = maps.Qstar @ xt
+        qstar_xt = cs.space.Q @ xt  # Qstar = Q, the standard form
         if np.linalg.norm(qstar_xt - qstar_xt.T) > MATRIX_TOL:
             raise CurveKernelError("transported form lost its symmetry (internal inconsistency)")
     scale = max(1.0, np.linalg.norm(mat))

@@ -8,12 +8,15 @@ Evaluation strategy, entirely lattice-sum based:
 2. ``lattice_sums.tail_sums`` evaluates the Taylor-corrected summands,
    which decay like |z/w|^5/|w|^2; the two slowly convergent correction
    constants they leave behind are the weight-4 and weight-6 lattice
-   sums G4 = sum' w^-4 and G6 = sum' w^-6.
+   sums G4 = sum' w^-4 and G6 = sum' w^-6. ``_grid`` keeps one site of
+   each pair {w, -w}; with q = z/w a pair sums to 2 z q^6 / (z^2 - w^2)
+   for zeta and q^6 (14 w^2 - 10 z^2) / (z^2 - w^2)^2 for p.
 3. G4, G6 and the quasi-period increments eta_1, eta_2 are obtained
    together from a small linear system built out of zeta-increment
    identities zeta(z + w_k) - zeta(z) = eta_k at a handful of generic
    points: each equation is linear in (eta_1, eta_2, G4, G6) once zeta is
-   written as 1/z + tail - G4 z^3 - G6 z^5.
+   written as 1/z + tail - G4 z^3 - G6 z^5. Least squares weights each
+   equation by the size of the terms it cancels, its rounding level.
 4. The truncation radius doubles until two successive evaluations agree to
    the stability target, which certifies the accuracy internally. This is
    done on the reduced pair divided by the shortest generator length s, so
@@ -64,23 +67,10 @@ def _reduce_pair(w1: complex, w2: complex) -> tuple[complex, complex, np.ndarray
 
 
 def _grid(r1: complex, r2: complex, n: int) -> np.ndarray:
-    m, k = np.meshgrid(np.arange(-n, n + 1), np.arange(-n, n + 1), indexing="ij")
-    w = (m * r1 + k * r2).ravel()
-    return w[np.abs(w) > 0.5 * min(abs(r1), abs(r2))]
-
-
-def _bootstrap(r1: complex, r2: complex, grid: np.ndarray) -> np.ndarray:
-    """Least-squares solve for (eta_r1, eta_r2, G4, G6) on the reduced pair."""
-    rows, rhs = [], []
-    for lam, coeff in ((r1, (1.0, 0.0)), (r2, (0.0, 1.0))):
-        for d in _BOOTSTRAP_OFFSETS:
-            z0 = -lam / 2 + d * (abs(lam) / 2)
-            z1 = z0 + lam
-            s, _ = tail_sums(np.array([z0, z1]), grid)
-            rows.append([coeff[0], coeff[1], z1**3 - z0**3, z1**5 - z0**5])
-            rhs.append((s[1] + 1 / z1) - (s[0] + 1 / z0))
-    sol, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
-    return sol
+    """One site m r1 + k r2 of each pair ±w in the box |m|, |k| <= n: m > 0, or m = 0 and k > 0."""
+    m, k = np.meshgrid(np.arange(n + 1), np.arange(-n, n + 1), indexing="ij")
+    keep = (m > 0) | (k > 0)
+    return m[keep] * r1 + k[keep] * r2
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,10 +99,22 @@ class LatticeContext:
 
 
 def _level(r1: complex, r2: complex, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Grid of truncation ``n``; its bootstrap solution followed by its probe sums."""
+    """Grid of truncation ``n``; its bootstrap (eta_r1, eta_r2, G4, G6) followed by its probe sums.
+
+    One ``tail_sums`` call serves the bootstrap points z0, z0 + lam (three
+    per generator lam) and the two probes.
+    """
     grid = _grid(r1, r2, n)
+    lam = np.repeat([r1, r2], 3)
+    z0 = -lam / 2 + np.tile(_BOOTSTRAP_OFFSETS, 2) * (np.abs(lam) / 2)
+    z1 = z0 + lam
     probe = np.array([0.31 * r1 + 0.17 * r2, -0.22 * r1 + 0.41 * r2])
-    return grid, np.concatenate([_bootstrap(r1, r2, grid), *tail_sums(probe, grid)])
+    s_zeta, s_wp = tail_sums(np.concatenate([z0, z1, probe]), grid)
+    zeta0, zeta1 = s_zeta[:6] + 1 / z0, s_zeta[6:12] + 1 / z1
+    rows = np.column_stack([lam == r1, lam == r2, z1**3 - z0**3, z1**5 - z0**5])
+    weight = 1 / (np.abs(zeta0) + np.abs(zeta1))
+    sol, *_ = np.linalg.lstsq(weight[:, None] * rows, weight * (zeta1 - zeta0), rcond=None)
+    return grid, np.concatenate([sol, s_zeta[12:], s_wp[12:]])
 
 
 def build_lattice(omega1, omega2, truncation: int = 64, max_truncation: int = 512) -> LatticeContext:
@@ -149,11 +151,9 @@ def build_lattice(omega1, omega2, truncation: int = 64, max_truncation: int = 51
         n *= 2
     eta_r1, eta_r2, g4, g6 = fine_vals[:4] / np.array([s, s, s**4, s**6])
     # quasi-periods are additive over the lattice: transport to the input pair
-    eta1 = tmat[0, 0] * eta_r1 + tmat[0, 1] * eta_r2
-    eta2 = tmat[1, 0] * eta_r1 + tmat[1, 1] * eta_r2
+    eta1, eta2 = tmat @ np.array([eta_r1, eta_r2])
     area = float((np.conj(w1) * w2).imag)
-    csys = np.array([[w1, np.conj(w1)], [w2, np.conj(w2)]])
-    c1, c2 = np.linalg.solve(csys, np.array([eta1, eta2]))
+    c1, c2 = np.linalg.solve(np.array([[w1, np.conj(w1)], [w2, np.conj(w2)]]), np.array([eta1, eta2]))
     coord = np.linalg.inv(np.array([[r1.real, r2.real], [r1.imag, r2.imag]]))
     return LatticeContext(
         omega1=w1,
@@ -175,25 +175,17 @@ def build_lattice(omega1, omega2, truncation: int = 64, max_truncation: int = 51
     )
 
 
-def _reduce_points(lat: LatticeContext, z: np.ndarray):
-    """Translate points into the centered cell of the reduced basis."""
-    coords = lat._coord @ np.vstack([z.real.ravel(), z.imag.ravel()])
-    m = np.rint(coords[0]).astype(np.int64)
-    k = np.rint(coords[1]).astype(np.int64)
-    zr = z.ravel() - m * lat._r1 - k * lat._r2
-    if np.abs(zr).min() < POLE_EXCLUSION:
-        raise PoleError("evaluation point coincides with a lattice point")
-    return zr, m, k
-
-
 def _cell_eval(lat: LatticeContext, z, formula):
-    """``formula(zr, m, k, s_zeta, s_p)`` for z = zr + m r1 + k r2 with zr in the cell.
+    """``formula(zr, m, k, s_zeta, s_p)`` for z = zr + m r1 + k r2 with zr in the centered cell.
 
     One ``tail_sums`` call gives s_zeta and s_p. The result is shaped like
     ``z``; a scalar ``z`` gives a Python complex.
     """
     z = np.asarray(z, dtype=complex)
-    zr, m, k = _reduce_points(lat, z)
+    m, k = np.rint(lat._coord @ np.vstack([z.real.ravel(), z.imag.ravel()])).astype(np.int64)
+    zr = z.ravel() - m * lat._r1 - k * lat._r2
+    if np.abs(zr).min() < POLE_EXCLUSION:
+        raise PoleError("evaluation point coincides with a lattice point")
     vals = formula(zr, m, k, *tail_sums(zr, lat._grid_pts)).reshape(z.shape)
     return complex(vals) if z.ndim == 0 else vals
 

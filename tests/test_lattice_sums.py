@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import mpmath as mp
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
 from curvekernel import lattice_sums, weierstrass
@@ -24,7 +25,8 @@ def test_tail_sums_match_explicit_series():
     rng = np.random.default_rng(0)
     z = rng.uniform(-0.6, 0.6, size=20) + 1j * rng.uniform(-0.6, 0.6, size=20)
     sz, sp = lattice_sums.tail_sums(z, grid)
-    ref = np.array([_series(zi, grid) for zi in z])
+    # the kernel sums each pair {w, -w} at once; the reference sums both members
+    ref = np.array([_series(zi, np.concatenate([grid, -grid])) for zi in z])
     assert_allclose(sz, ref[:, 0], rtol=0, atol=1e-13)
     assert_allclose(sp, ref[:, 1], rtol=0, atol=1e-13)
 
@@ -37,3 +39,15 @@ def test_shape_preservation():
     assert sp.shape == z.shape
     # a point's sums do not depend on the other points of the call
     assert (sz[0, 1], sp[0, 1]) == lattice_sums.tail_sums(z[0, 1], grid)
+
+
+@pytest.mark.parametrize("r1,r2,n", [(1.0, 0.3 + 1.1j, 8), (1.0, 5j, 16), (0.7 - 0.2j, 0.1 + 1.3j, 5)])
+def test_grid_holds_one_site_of_each_pair(r1, r2, n):
+    # negation is exact in floating point, so the sites compare exactly
+    grid = weierstrass._grid(r1, r2, n)
+    sites, negatives = set(grid.tolist()), set((-grid).tolist())
+    m, k = np.meshgrid(np.arange(-n, n + 1), np.arange(-n, n + 1), indexing="ij")
+    box = set((m * r1 + k * r2).ravel().tolist()) - {0j}
+    assert len(sites) == len(grid) == len(box) // 2
+    assert not sites & negatives
+    assert sites | negatives == box

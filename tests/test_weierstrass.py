@@ -65,7 +65,7 @@ class TestBuildLattice:
             ws.build_lattice(1.0, 1j, truncation=8, max_truncation=8)
 
     @pytest.mark.parametrize(
-        "w2,levels", [(0.3 + 1.1j, [64, 128]), (3.5j, [64, 128, 256])], ids=["generic", "thin"]
+        "w2,levels", [(0.3 + 1.1j, [64, 128]), (20j, [64, 128, 256])], ids=["generic", "thin"]
     )
     def test_each_level_built_once(self, monkeypatch, w2, levels):
         built = []
@@ -135,6 +135,30 @@ class TestEvaluators:
         _, _, p_o = theta_oracle(w1, w2)
         for z in (0.23 + 0.11j, -0.31 + 0.4j, 0.05 - 0.17j):
             assert ws.wp(lat, z) == pytest.approx(p_o(z), abs=1e-11)
+
+    @pytest.mark.parametrize("w2", [3.5j, 4j, 5j], ids=["3.5i", "4i", "5i"])
+    def test_thin_lattice_against_theta_series(self, w2):
+        # certifying at a lower truncation costs no accuracy; 0.4 + 1.5i lies
+        # along the thin direction, where the corrected summands are largest
+        lat = ws.build_lattice(1.0, w2)
+        _, zeta_o, p_o = theta_oracle(1.0, w2)
+        for z in (0.23 + 0.11j, -0.31 + 0.4j, 1.7 - 2.3j, 0.4 + 1.5j):
+            assert ws.wzeta(lat, z) == pytest.approx(zeta_o(z), abs=1e-11)
+        for z in (0.23 + 0.11j, -0.31 + 0.4j, 0.05 - 0.17j, 0.4 + 1.5j):
+            assert ws.wp(lat, z) == pytest.approx(p_o(z), abs=1e-11)
+
+    @pytest.mark.parametrize("w2,z_thin", [(12j, 0.3 + 5.9j), (3 + 0.2j, 0.45 + 0.03j)], ids=["12i", "3+0.2i"])
+    def test_very_thin_lattice_against_theta_series(self, w2, z_thin):
+        # the bootstrap weights each equation by its rounding level; what is
+        # left is the cancellation among the corrected summands far along the
+        # thin direction (z_thin), which grows like (|tau| / 2)^7
+        lat = ws.build_lattice(1.0, w2)
+        eta1_o, zeta_o, p_o = theta_oracle(1.0, w2)
+        assert lat.eta1 == pytest.approx(eta1_o, abs=1e-10)
+        assert lat.eta1 * lat.omega2 - lat.eta2 * lat.omega1 == pytest.approx(2j * np.pi, abs=1e-10)
+        for z in (0.23 + 0.11j, z_thin):
+            assert ws.wzeta(lat, z) == pytest.approx(zeta_o(z), abs=1e-10)
+            assert ws.wp(lat, z) == pytest.approx(p_o(z), abs=1e-10)
 
     def test_zeta_quasi_periodicity(self, generic_lattice):
         lat = generic_lattice
