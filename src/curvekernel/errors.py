@@ -75,7 +75,7 @@ class LatticeError(CurveKernelError, ValueError):
 
 
 class TruncationError(CurveKernelError):
-    """Lattice-sum truncation failed its doubling stability check."""
+    """Lattice-sum zeta increments miss the exact quasi-periods at every truncation tried."""
 
 
 class PoleError(CurveKernelError, ValueError):

@@ -1,6 +1,6 @@
 r"""Weierstrass zeta / p evaluators from truncated lattice sums.
 
-Evaluation strategy, entirely lattice-sum based:
+Evaluation strategy:
 
 1. The generator pair is Lagrange-reduced (same lattice, short basis) and
    points are translated into the centered fundamental cell, so the tail
@@ -11,20 +11,20 @@ Evaluation strategy, entirely lattice-sum based:
    sums G4 = sum' w^-4 and G6 = sum' w^-6. ``_grid`` keeps one site of
    each pair {w, -w}; with q = z/w a pair sums to 2 z q^6 / (z^2 - w^2)
    for zeta and q^6 (14 w^2 - 10 z^2) / (z^2 - w^2)^2 for p.
-3. G4, G6 and the quasi-period increments eta_1, eta_2 are obtained
-   together from a small linear system built out of zeta-increment
-   identities zeta(z + w_k) - zeta(z) = eta_k at a handful of generic
-   points: each equation is linear in (eta_1, eta_2, G4, G6) once zeta is
-   written as 1/z + tail - G4 z^3 - G6 z^5. Least squares weights each
-   equation by the size of the terms it cancels, its rounding level.
-4. The truncation radius doubles until two successive evaluations agree to
-   the stability target, which certifies the accuracy internally. This is
-   done on the reduced pair divided by the shortest generator length s, so
-   the drift is dimensionless (eta and zeta in units of 1/s, p of 1/s^2, G4
-   of 1/s^4, G6 of 1/s^6) and a rescaled lattice stops at the same truncation.
-
-The Legendre relation eta_1 w_2 - eta_2 w_1 = 2 pi i is never used as an
-input; it emerges (and is pinned in the tests) as a consistency check.
+3. Those constants and eta(r1) come from Eisenstein q-series (DLMF 23.8;
+   Apostol, *Modular Functions and Dirichlet Series*, Ch. 1) on the reduced
+   basis divided by the shortest generator length s, where
+   |exp(2 pi i r2/r1)| <= exp(-pi sqrt 3): eta(r1) = pi^2 E2 / (3 r1),
+   G4 = (pi/r1)^4 E4 / 45, G6 = 2 (pi/r1)^6 E6 / 945. The Legendre relation
+   eta(r1) r2 - eta(r2) r1 = 2 pi i gives eta(r2).
+4. The truncation doubles until the zeta increments zeta(z0 + lam) - zeta(z0)
+   for lam = r1, r2, r1 + r2, summed without translation into the cell,
+   match eta(lam) to ``CERTIFICATE_TOL`` relative to the zeta values; this
+   checks step 3, the Legendre relation included, where the sums are worst.
+   It stops with ``TruncationError`` at ``max_truncation``, or once a
+   doubling no longer lowers the miss (rounding sets it, not truncation).
+   On the unit-scale copy the miss is dimensionless, so a rescaled lattice
+   stops at the same truncation.
 
 The elementary-potential coefficients c1, c2 solve the single-valuedness
 system c1 w_k + c2 conj(w_k) = eta_k; c2 = pi/area is again emergent.
@@ -38,12 +38,12 @@ import numpy as np
 from .errors import LatticeError, PoleError, TruncationError
 from .lattice_sums import tail_sums
 
-#: Doubling-stability target for the adaptive truncation.
-DOUBLING_TOL = 1e-12
-#: Points closer than this to a lattice point are rejected as poles.
+#: Largest relative miss of the certifying zeta increments against the quasi-periods.
+CERTIFICATE_TOL = 1e-11
+#: Points closer than this many lattice scales to a lattice point are rejected as poles.
 POLE_EXCLUSION = 1e-8
 
-_BOOTSTRAP_OFFSETS = (0.137 + 0.071j, -0.083 + 0.191j, 0.211 - 0.057j)
+_INCREMENT_OFFSETS = (0.137 + 0.071j, -0.083 + 0.191j, 0.211 - 0.057j)
 
 
 def _reduce_pair(w1: complex, w2: complex) -> tuple[complex, complex, np.ndarray]:
@@ -91,6 +91,7 @@ class LatticeContext:
     eisenstein4: complex
     eisenstein6: complex
     scale: float
+    certificate_residual: float
     _r1: complex = field(repr=False, default=0j)
     _r2: complex = field(repr=False, default=0j)
     _eta_r: tuple = field(repr=False, default=(0j, 0j))
@@ -98,33 +99,37 @@ class LatticeContext:
     _coord: np.ndarray = field(repr=False, default=None)
 
 
-def _level(r1: complex, r2: complex, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Grid of truncation ``n``; its bootstrap (eta_r1, eta_r2, G4, G6) followed by its probe sums.
+def _eisenstein(tau: complex) -> np.ndarray:
+    """(E2, E4, E6) at ``tau``: 1 + c_k sum_n n^(k-1) x^n / (1 - x^n), x = exp(2 pi i tau).
 
-    One ``tail_sums`` call serves the bootstrap points z0, z0 + lam (three
-    per generator lam) and the two probes.
+    For |x| <= exp(-pi sqrt 3) the bounds n^5 |x|^n fall by a factor below 0.14 per term, so the
+    terms past N add up to less than 600 (N+1)^5 |x|^(N+1); N is the first that puts this under 2^-53.
     """
-    grid = _grid(r1, r2, n)
-    lam = np.repeat([r1, r2], 3)
-    z0 = -lam / 2 + np.tile(_BOOTSTRAP_OFFSETS, 2) * (np.abs(lam) / 2)
-    z1 = z0 + lam
-    probe = np.array([0.31 * r1 + 0.17 * r2, -0.22 * r1 + 0.41 * r2])
-    s_zeta, s_wp = tail_sums(np.concatenate([z0, z1, probe]), grid)
-    zeta0, zeta1 = s_zeta[:6] + 1 / z0, s_zeta[6:12] + 1 / z1
-    rows = np.column_stack([lam == r1, lam == r2, z1**3 - z0**3, z1**5 - z0**5])
-    weight = 1 / (np.abs(zeta0) + np.abs(zeta1))
-    sol, *_ = np.linalg.lstsq(weight[:, None] * rows, weight * (zeta1 - zeta0), rcond=None)
-    return grid, np.concatenate([sol, s_zeta[12:], s_wp[12:]])
+    x = np.exp(2j * np.pi * tau)
+    n = np.arange(1, 17)
+    n = n[: np.argmax(600 * (n + 1.0) ** 5 * abs(x) ** (n + 1) <= 2.0**-53) + 1]
+    xn = x**n
+    lambert = n ** np.array([[1], [3], [5]]) * (xn / (1 - xn))
+    return 1 + np.array([-24, 240, -504]) * lambert.sum(axis=1)
+
+
+def _increment_miss(r1: complex, r2: complex, consts: np.ndarray, grid: np.ndarray) -> float:
+    """Step 4's miss, largest over three z0 per lam = r1, r2, r1 + r2, which reach the cell's corners."""
+    eta1, eta2, g4, g6 = consts
+    lam = np.repeat([r1, r2, r1 + r2], 3)
+    eta = np.repeat([eta1, eta2, eta1 + eta2], 3)
+    z0 = -lam / 2 + np.tile(_INCREMENT_OFFSETS, 3) * (np.abs(lam) / 2)
+    z = np.concatenate([z0, z0 + lam])
+    zeta0, zeta1 = np.split(1 / z + tail_sums(z, grid)[0] - g4 * z**3 - g6 * z**5, 2)
+    return float((np.abs(zeta1 - zeta0 - eta) / (np.abs(zeta0) + np.abs(zeta1))).max())
 
 
 def build_lattice(omega1, omega2, truncation: int = 64, max_truncation: int = 512) -> LatticeContext:
     """Configure zeta/p evaluators for Z omega1 + Z omega2.
 
-    The truncation doubles from the requested value until the bootstrap
-    output and probe evaluations of the unit-scale lattice are stable to
-    ``DOUBLING_TOL``; failure to stabilize below ``max_truncation`` raises
-    ``TruncationError``. Each level is computed once: the finer level of
-    one comparison is the coarser level of the next.
+    The truncation doubles from the requested value until the certificate
+    of steps 3-4 in the module docstring holds; ``TruncationError`` is raised
+    past ``max_truncation`` or when a doubling does not lower the miss.
     """
     w1, w2 = complex(omega1), complex(omega2)
     if not np.isfinite([w1, w2]).all():
@@ -136,20 +141,24 @@ def build_lattice(omega1, omega2, truncation: int = 64, max_truncation: int = 51
     r1, r2, tmat = _reduce_pair(w1, w2)
     # certify on the unit-scale copy (r1, r2) / s; eta scales back by 1/s, G4 by s^-4, G6 by s^-6
     s = min(abs(r1), abs(r2))
-    n = max(8, int(truncation))
-    grid, vals = _level(r1 / s, r2 / s, n)
+    u1, u2 = r1 / s, r2 / s
+    e2, e4, e6 = _eisenstein(u2 / u1)
+    h = np.pi / u1
+    eta_u1 = np.pi * h * e2 / 3
+    consts = np.array([eta_u1, (eta_u1 * u2 - 2j * np.pi) / u1, h**4 * e4 / 45, 2 * h**6 * e6 / 945])
+    n, prev = max(8, int(truncation)), np.inf
     while True:
-        fine_grid, fine_vals = _level(r1 / s, r2 / s, 2 * n)
-        drift = np.abs(vals - fine_vals).max()
-        if drift <= DOUBLING_TOL:
+        grid = _grid(u1, u2, n)
+        miss = _increment_miss(u1, u2, consts, grid)
+        if miss <= CERTIFICATE_TOL:
             break
-        if 2 * n > max_truncation:
+        if 2 * n > max_truncation or miss >= prev:
             raise TruncationError(
-                f"lattice sums not stable at truncation {n} (drift {drift:.3e} > {DOUBLING_TOL:g})"
+                f"zeta increments miss the quasi-periods by {miss:.3e} at truncation {n}"
+                f" (> {CERTIFICATE_TOL:g})"
             )
-        grid, vals = fine_grid, fine_vals
-        n *= 2
-    eta_r1, eta_r2, g4, g6 = fine_vals[:4] / np.array([s, s, s**4, s**6])
+        prev, n = miss, 2 * n
+    eta_r1, eta_r2, g4, g6 = consts / np.array([s, s, s**4, s**6])
     # quasi-periods are additive over the lattice: transport to the input pair
     eta1, eta2 = tmat @ np.array([eta_r1, eta_r2])
     area = float((np.conj(w1) * w2).imag)
@@ -167,6 +176,7 @@ def build_lattice(omega1, omega2, truncation: int = 64, max_truncation: int = 51
         eisenstein4=complex(g4),
         eisenstein6=complex(g6),
         scale=s,
+        certificate_residual=miss,
         _r1=r1,
         _r2=r2,
         _eta_r=(complex(eta_r1), complex(eta_r2)),
@@ -184,7 +194,7 @@ def _cell_eval(lat: LatticeContext, z, formula):
     z = np.asarray(z, dtype=complex)
     m, k = np.rint(lat._coord @ np.vstack([z.real.ravel(), z.imag.ravel()])).astype(np.int64)
     zr = z.ravel() - m * lat._r1 - k * lat._r2
-    if np.abs(zr).min() < POLE_EXCLUSION:
+    if np.abs(zr).min() < POLE_EXCLUSION * lat.scale:
         raise PoleError("evaluation point coincides with a lattice point")
     vals = formula(zr, m, k, *tail_sums(zr, lat._grid_pts)).reshape(z.shape)
     return complex(vals) if z.ndim == 0 else vals

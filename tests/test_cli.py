@@ -260,6 +260,29 @@ class TestVerifyCommands:
         assert report["pass"] is True
         assert report["residuals"]["max_residual_dbar"] <= 1e-10
 
+    @pytest.mark.parametrize(
+        "lattice", ["1e-9,0,0.3e-9,1.1e-9", "1e-30,0,0.3e-30,1.1e-30"], ids=["1e-9", "1e-30"]
+    )
+    def test_theorem_b_tiny_copy_passes(self, capsys, lattice):
+        # the pole exclusion is measured in lattice scales, so no point of a
+        # tiny copy of (1, 0.3 + 1.1i) counts as a pole, and its verdict is the one at scale 1
+        code, out, _ = run_cli(capsys, "verify", "theorem-b", "--lattice", lattice, "--samples", "20")
+        assert code == 0
+        tiny = json.loads(out)
+        _, out, _ = run_cli(capsys, "verify", "theorem-b", "--lattice", "1,0,0.3,1.1", "--samples", "20")
+        ref = json.loads(out)
+        assert tiny["pass"] is ref["pass"] is True
+        assert tiny["residuals"]["max_residual_fd"] == pytest.approx(
+            ref["residuals"]["max_residual_fd"], rel=1e-5
+        )
+
+    def test_theorem_b_uncertified_lattice_is_error(self, capsys):
+        # (1, 40i): cancellation keeps the zeta increments 6e-11 off the quasi-periods
+        code, out, err = run_cli(capsys, "verify", "theorem-b", "--lattice", "1,0,0,40", "--samples", "5")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"].startswith("TruncationError")
+
     def test_theorem_a_is_one_array_call(self, capsys, monkeypatch):
         calls = {"theorem_a_check": 0, "qstar_against_kv_check": 0}
         for name in calls:
