@@ -2,7 +2,7 @@
 
 Subpackage map:
 
-* ``symplectic``: symplectic spaces, complex structures, duality maps.
+* ``symplectic``: the standard symplectic form, complex structures, the dual pairing.
 * ``siegel``: Cartan decomposition and the bracket tensor in two pictures.
 * ``periods``: hyperelliptic curves, period matrices, Riemann certificate.
 * ``bergman``: Hodge product, reproducing elements, kernel evaluation.

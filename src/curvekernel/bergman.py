@@ -1,8 +1,9 @@
 r"""Hodge Hermitian product, reproducing elements and kernel evaluation.
 
 The Hermitian product of two degree-one classes is computed from their
-period vectors through the dual symplectic pairing (the bilinear-relation
-route), never by surface integration: h(a, b) = i Qstar(pv(a), pv(conj b)).
+period vectors through the dual symplectic pairing ``qstar_pairing`` (the
+bilinear-relation route), never by surface integration:
+h(a, b) = i Qstar(pv(a), pv(conj b)).
 For the a-normalized basis this reproduces h(w_i, w_j) = 2 Im z_ij, which
 is the Gram matrix the kernel formula inverts.
 
@@ -24,14 +25,14 @@ kernel values of shape (...); a scalar tangent gives a complex.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionMismatchError, SingularSystemError
 from .periods import PeriodData, TangentVector, normalized_differential_eval, raw_differential_eval
-from .symplectic import DualityMaps, duality_maps, make_standard_space, qstar_pairing
+from .symplectic import duality_maps, qstar_pairing
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,7 +41,8 @@ class BergmanContext:
 
     ``eval_basis`` maps tangents of shape (...) to basis values (..., g);
     ``period_rows`` (g x 2g, rows = period vectors of the basis) is present
-    for curve-backed contexts and None for directly presented ones.
+    for curve-backed contexts and None for directly presented ones; only
+    a context with period rows can pair classes through Qstar.
     """
 
     g: int
@@ -50,7 +52,6 @@ class BergmanContext:
     eval_basis: Callable[[TangentVector], np.ndarray]
     pd: PeriodData | None = None
     period_rows: np.ndarray | None = None
-    maps: DualityMaps | None = field(default=None, repr=False)
 
 
 def _gram_fields(gram: np.ndarray) -> dict:
@@ -81,9 +82,7 @@ def context_from_periods(pd: PeriodData, basis="normalized") -> BergmanContext:
         if W.shape != (g, g):
             raise DimensionMismatchError(f"basis matrix must be {g}x{g}, got {W.shape}")
     period_rows = np.hstack([W @ pd.A, W @ pd.B])
-    maps = duality_maps(make_standard_space(g))
-    qs = maps.Qstar
-    gram = 1j * (period_rows @ qs @ period_rows.conj().T)
+    gram = 1j * (period_rows @ duality_maps(g) @ period_rows.conj().T)
     gram = (gram + gram.conj().T) / 2
 
     def eval_basis(u: TangentVector) -> np.ndarray:
@@ -95,7 +94,6 @@ def context_from_periods(pd: PeriodData, basis="normalized") -> BergmanContext:
         eval_basis=eval_basis,
         pd=pd,
         period_rows=period_rows,
-        maps=maps,
     )
 
 
@@ -137,10 +135,10 @@ def hodge_product(ctx: BergmanContext, alpha, beta) -> complex:
     alpha = np.asarray(alpha, dtype=complex)
     beta = np.asarray(beta, dtype=complex)
     g = ctx.g
-    if ctx.period_rows is not None and ctx.maps is not None:
+    if ctx.period_rows is not None:
         pa = class_period_vector(ctx, alpha) if alpha.shape == (g,) else _as_period(alpha, g)
         pb = class_period_vector(ctx, beta) if beta.shape == (g,) else _as_period(beta, g)
-        return 1j * qstar_pairing(ctx.maps, pa, pb.conj())
+        return 1j * qstar_pairing(pa, pb.conj())
     if alpha.shape != (g,) or beta.shape != (g,):
         raise DimensionMismatchError("presented contexts accept coefficient vectors only")
     return complex(alpha @ ctx.gram @ beta.conj())

@@ -13,10 +13,6 @@ class DimensionMismatchError(CurveKernelError, ValueError):
     """Vector or matrix arguments have incompatible shapes."""
 
 
-class SpanError(CurveKernelError, ValueError):
-    """A vector does not lie in the subspace required by the operation."""
-
-
 class ComplexStructureError(CurveKernelError, ValueError):
     """A matrix fails to define a compatible complex structure."""
 

@@ -13,7 +13,8 @@ separate:
   Qstar(., t .) as membership condition.
 
 Every function takes the ``ComplexStructure`` first and works on plain
-arrays. A function that takes an algebra element X or a p^{1,0} tensor t
+arrays; ``cs.Q`` is the matrix of both Q and Qstar (``symplectic.duality_maps``).
+A function that takes an algebra element X or a p^{1,0} tensor t
 validates it on entry with ``sp_element`` or ``p_tensor``, which raise
 ``SpMembershipError`` for a non-member, non-finite or misshapen array.
 
@@ -32,7 +33,7 @@ _SPAN_TOL = 1e-8
 
 
 def sp_residual(cs: ComplexStructure, X: np.ndarray) -> float:
-    qx = cs.space.Q @ X
+    qx = cs.Q @ X
     return float(np.linalg.norm(qx - qx.T))
 
 
@@ -55,7 +56,7 @@ def random_sp_element(cs: ComplexStructure, rng: np.random.Generator, real: bool
     if not real:
         s = s + 1j * rng.standard_normal((n, n))
     s = s + s.T
-    return sp_element(cs, np.linalg.solve(cs.space.Q, s))
+    return sp_element(cs, np.linalg.solve(cs.Q, s))
 
 
 def cartan_project(cs: ComplexStructure, X) -> tuple[np.ndarray, np.ndarray]:
@@ -79,8 +80,8 @@ def ad_j_half(cs: ComplexStructure, X: np.ndarray) -> np.ndarray:
 
 
 def _qstar_pairing_matrix(cs: ComplexStructure) -> np.ndarray:
-    """K with K @ t = matrix of Qstar(., t .) restricted to H10; Qstar = -Q^{-1} = Q."""
-    return cs.H10.T @ cs.space.Q @ cs.H01
+    """K with K @ t = matrix of Qstar(., t .) restricted to H10."""
+    return cs.H10.T @ cs.Q @ cs.H01
 
 
 def p_tensor(cs: ComplexStructure, t) -> np.ndarray:
@@ -153,7 +154,7 @@ def transport_to_dual(cs: ComplexStructure, X) -> np.ndarray:
         raise SpMembershipError("matrix has non-finite entries")
     xt = mat.T
     if sp_residual(cs, mat) <= MATRIX_TOL:
-        qstar_xt = cs.space.Q @ xt  # Qstar = Q, the standard form
+        qstar_xt = cs.Q @ xt
         if np.linalg.norm(qstar_xt - qstar_xt.T) > MATRIX_TOL:
             raise CurveKernelError("transported form lost its symmetry (internal inconsistency)")
     scale = max(1.0, np.linalg.norm(mat))

@@ -72,12 +72,12 @@ def theorem_a_check(ctx: BergmanContext, omega, omega_prime, u: TangentVector, v
     numerically through period vectors.
     rhs: -i * w(u) conj(w'(v)) * kernel(u, v).
     """
-    if ctx.maps is None:
+    if ctx.period_rows is None:
         raise DimensionMismatchError("theorem A check requires a period-backed context")
     bt = btilde_apply(ctx, u, v, omega)
     pv_omega_prime_bar = class_period_vector(ctx, omega_prime, conjugated=True)
     pv_bt = class_period_vector(ctx, bt)
-    lhs = -qstar_pairing(ctx.maps, pv_omega_prime_bar, pv_bt) / (4 * np.pi**2)
+    lhs = -qstar_pairing(pv_omega_prime_bar, pv_bt) / (4 * np.pi**2)
     omega_u = evaluate_class(ctx, omega, u)
     omega_prime_v = evaluate_class(ctx, omega_prime, v)
     rhs = -1j * omega_u * np.conj(omega_prime_v) * bergman_eval(ctx, u, v)
@@ -86,14 +86,12 @@ def theorem_a_check(ctx: BergmanContext, omega, omega_prime, u: TangentVector, v
 
 def qstar_against_kv_check(ctx: BergmanContext, omega_prime, v: TangentVector):
     """Qstar(conj w', k_v) against the claim i conj(w'(v))."""
-    if ctx.maps is None:
+    if ctx.period_rows is None:
         raise DimensionMismatchError("pairing check requires a period-backed context")
     omega_prime = np.asarray(omega_prime, dtype=complex)
     k_v = reproducing_element(ctx, v)
     pairing = qstar_pairing(
-        ctx.maps,
-        class_period_vector(ctx, omega_prime, conjugated=True),
-        class_period_vector(ctx, k_v),
+        class_period_vector(ctx, omega_prime, conjugated=True), class_period_vector(ctx, k_v)
     )
     claim = 1j * np.conj(evaluate_class(ctx, omega_prime, v))
     return pairing, claim

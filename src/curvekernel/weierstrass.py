@@ -22,7 +22,8 @@ Evaluation strategy:
    match eta(lam) to ``CERTIFICATE_TOL`` relative to the zeta values; this
    checks step 3, the Legendre relation included, where the sums are worst.
    It stops with ``TruncationError`` at ``max_truncation``, or once a
-   doubling no longer lowers the miss (rounding sets it, not truncation).
+   doubling cuts the miss by less than ``_MIN_DOUBLING_GAIN``: the tail
+   falls like n^-6, so rounding sets such a miss, not truncation.
    On the unit-scale copy the miss is dimensionless, so a rescaled lattice
    stops at the same truncation.
 
@@ -44,6 +45,8 @@ CERTIFICATE_TOL = 1e-11
 POLE_EXCLUSION = 1e-8
 
 _INCREMENT_OFFSETS = (0.137 + 0.071j, -0.083 + 0.191j, 0.211 - 0.057j)
+#: A doubling that divides the miss by less than this has reached the rounding floor.
+_MIN_DOUBLING_GAIN = 4.0
 
 
 def _reduce_pair(w1: complex, w2: complex) -> tuple[complex, complex, np.ndarray]:
@@ -129,7 +132,7 @@ def build_lattice(omega1, omega2, truncation: int = 64, max_truncation: int = 51
 
     The truncation doubles from the requested value until the certificate
     of steps 3-4 in the module docstring holds; ``TruncationError`` is raised
-    past ``max_truncation`` or when a doubling does not lower the miss.
+    past ``max_truncation`` or when a doubling cuts the miss by less than 4x.
     """
     w1, w2 = complex(omega1), complex(omega2)
     if not np.isfinite([w1, w2]).all():
@@ -152,7 +155,7 @@ def build_lattice(omega1, omega2, truncation: int = 64, max_truncation: int = 51
         miss = _increment_miss(u1, u2, consts, grid)
         if miss <= CERTIFICATE_TOL:
             break
-        if 2 * n > max_truncation or miss >= prev:
+        if 2 * n > max_truncation or miss * _MIN_DOUBLING_GAIN > prev:
             raise TruncationError(
                 f"zeta increments miss the quasi-periods by {miss:.3e} at truncation {n}"
                 f" (> {CERTIFICATE_TOL:g})"

@@ -4,14 +4,16 @@ For y^2 = 4x^3 - g2 x - g3 the Abel map z = integral dx/y sends the curve to
 C / (Z A + Z B), with A and B the a- and b-periods of dx/y, and x = p(z)
 there. So the lattice that ``build_lattice`` makes from ``compute_periods``
 must have 60 G4 = g2 and 140 G6 = g3: the curve side and the lattice side
-are oracles of each other.
+are oracles of each other. The Hodge product of dx/y is twice the cell's
+area, and p inverts the Abel map, which mpmath integrates independently.
 """
 from __future__ import annotations
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from curvekernel import periods, weierstrass
+from curvekernel import bergman, periods, weierstrass
 
 
 def cubic_invariants(roots) -> tuple[float, float]:
@@ -48,3 +50,32 @@ def test_periods_span_the_lattice_of_the_invariants(roots, order):
     lat = weierstrass.build_lattice(pd.A[0, 0], pd.B[0, 0])
     assert 60 * lat.eisenstein4 == pytest.approx(g2, rel=1e-12, abs=0)
     assert 140 * lat.eisenstein6 == pytest.approx(g3, rel=1e-12, abs=0)
+    # h(dx/y, dx/y) = i * integral of dz wedge conj(dz) = 2 area, with the lattice's orientation
+    gram = bergman.context_from_periods(pd, basis="raw").gram[0, 0]
+    assert gram == pytest.approx(2 * lat.area, rel=1e-12, abs=0)
+
+
+def abel_map(x: complex, e) -> complex:
+    """z = integral from x to infinity of ds / y along the horizontal ray, y = 2 prod sqrt(s - e_i).
+
+    Off the real axis each s - e_i keeps the sign of its imaginary part, so
+    the principal square roots stay continuous along the ray. The ray is
+    split where it passes over a root, since the integrand peaks there.
+    """
+    def integrand(s):
+        return 1 / (2 * mp.sqrt(s - e[0]) * mp.sqrt(s - e[1]) * mp.sqrt(s - e[2]))
+
+    with mp.workdps(30):
+        x = mp.mpc(x)
+        over = sorted(float(r) for r in e if r > x.real)
+        return complex(mp.quad(integrand, [x] + [mp.mpc(r, x.imag) for r in over] + [mp.inf]))
+
+
+@pytest.mark.parametrize("roots", [(-2.0, -1.99, 3.0), (-1.0, 0.2, 0.8)], ids=["gap-0.01", "gap-0.6"])
+def test_p_inverts_the_abel_map(roots):
+    g2, g3 = cubic_invariants(roots)
+    e = np.asarray(roots) - np.mean(roots)
+    pd = periods.compute_periods(periods.build_curve([-g3, -g2, 0.0, 4.0]), quad_order=256)
+    lat = weierstrass.build_lattice(pd.A[0, 0], pd.B[0, 0])
+    for x in (0.3 + 0.4j, -1.7 + 0.2j, 2.5 - 0.6j, -0.4 - 1.5j):
+        assert weierstrass.wp(lat, abel_map(x, e)) == pytest.approx(x, rel=1e-12, abs=0)

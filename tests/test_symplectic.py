@@ -10,34 +10,30 @@ from curvekernel.errors import (
     DimensionMismatchError,
     PositivityError,
     SiegelDomainError,
-    SpanError,
     SquareInvariantError,
     SymplecticInvariantError,
 )
 
 
 def test_standard_space_g1():
-    space = sy.make_standard_space(1)
-    assert_allclose(space.Q, [[0.0, 1.0], [-1.0, 0.0]])
+    assert_allclose(sy.duality_maps(1), [[0.0, 1.0], [-1.0, 0.0]])
 
 
 def test_standard_space_g2_block_form():
-    space = sy.make_standard_space(2)
     expected = np.zeros((4, 4))
     expected[:2, 2:] = np.eye(2)
     expected[2:, :2] = -np.eye(2)
-    assert_allclose(space.Q, expected)
+    assert_allclose(sy.duality_maps(2), expected)
 
 
 def test_standard_space_rejects_g0():
     with pytest.raises(DimensionMismatchError):
-        sy.make_standard_space(0)
+        sy.duality_maps(0)
 
 
 class TestComplexStructureFromMatrix:
     def test_valid_g1(self):
-        space = sy.make_standard_space(1)
-        cs = sy.complex_structure_from_matrix(space, [[0.0, -1.0], [1.0, 0.0]])
+        cs = sy.complex_structure_from_matrix([[0.0, -1.0], [1.0, 0.0]])
         # +i eigenspace is the line through (1, -i)
         v = cs.Vm10[:, 0]
         assert_allclose(cs.J @ v, 1j * v, atol=1e-12)
@@ -45,25 +41,27 @@ class TestComplexStructureFromMatrix:
         assert abs(ratio[0] - ratio[1]) < 1e-12
 
     def test_sign_flipped_j_not_positive(self):
-        space = sy.make_standard_space(1)
         with pytest.raises(PositivityError):
-            sy.complex_structure_from_matrix(space, [[0.0, 1.0], [-1.0, 0.0]])
+            sy.complex_structure_from_matrix([[0.0, 1.0], [-1.0, 0.0]])
 
     def test_identity_fails_square_invariant(self):
-        space = sy.make_standard_space(1)
         with pytest.raises(SquareInvariantError):
-            sy.complex_structure_from_matrix(space, np.eye(2))
+            sy.complex_structure_from_matrix(np.eye(2))
 
     def test_square_ok_but_not_symplectic(self):
         # conjugate the standard J at g=2 by a shear acting on one block only
-        space = sy.make_standard_space(2)
         j0 = np.block([[np.zeros((2, 2)), -np.eye(2)], [np.eye(2), np.zeros((2, 2))]])
         p = np.eye(4)
         p[0, 1] = 0.5
         j = p @ j0 @ np.linalg.inv(p)
         assert np.linalg.norm(j @ j + np.eye(4)) < 1e-14
         with pytest.raises(SymplecticInvariantError):
-            sy.complex_structure_from_matrix(space, j)
+            sy.complex_structure_from_matrix(j)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 4), (0, 0)], ids=["odd", "not-square", "empty"])
+    def test_shape_rejected(self, shape):
+        with pytest.raises(DimensionMismatchError):
+            sy.complex_structure_from_matrix(np.zeros(shape))
 
     def test_annihilator_identity(self):
         rng = np.random.default_rng(3)
@@ -100,7 +98,7 @@ class TestComplexStructureFromPeriodMatrix:
             cs = sy.complex_structure_from_period_matrix(random_siegel_point(g, rng))
             n = 2 * g
             assert np.linalg.norm(cs.J @ cs.J + np.eye(n)) <= 1e-10
-            q = cs.space.Q
+            q = cs.Q
             assert np.linalg.norm(cs.J.T @ q @ cs.J - q) <= 1e-10
             gj = q @ cs.J
             assert np.linalg.eigvalsh((gj + gj.T) / 2).min() > 0
@@ -112,102 +110,70 @@ class TestComplexStructureFromPeriodMatrix:
     def test_phi_q_maps_v0m1_onto_h10(self, g):
         rng = np.random.default_rng(20 + g)
         cs = sy.complex_structure_from_period_matrix(random_siegel_point(g, rng))
-        maps = sy.duality_maps(cs.space)
-        image = maps.phiQ @ cs.V0m1
-        assert sy.subspace_distance(image, cs.H10) <= 1e-10
+        assert np.linalg.norm(sy.duality_maps(g) @ cs.V0m1 - cs.H10) <= 1e-10
 
 
 class TestDualityMaps:
     def test_phi_psi_inverse(self):
-        maps = sy.duality_maps(sy.make_standard_space(2))
-        assert_allclose(maps.phiQ @ maps.psiQ, np.eye(4), atol=1e-14)
+        # psi_Q = -phi_Q inverts phi_Q: the form squares to -I
+        for g in (1, 2, 3):
+            q = sy.duality_maps(g)
+            assert_allclose(q @ q, -np.eye(2 * g), atol=1e-14)
 
     def test_qstar_antisymmetric_matrix(self):
-        maps = sy.duality_maps(sy.make_standard_space(3))
-        assert_allclose(maps.Qstar, -maps.Qstar.T, atol=1e-14)
+        q = sy.duality_maps(3)
+        assert_allclose(q, -q.T, atol=1e-14)
 
     def test_psi_q_equals_minus_phi_qstar(self):
-        # matrix identity psi_Q = -phi_{Qstar}, here phi_{Qstar} = Qstar itself
+        # psi_Q = Q^{-1} and Qstar = -Q^{-1}: one matrix serves as Q and as Qstar
         for g in (1, 2, 3):
-            maps = sy.duality_maps(sy.make_standard_space(g))
-            assert np.linalg.norm(maps.psiQ + maps.Qstar) <= 1e-12
+            q = sy.duality_maps(g)
+            assert np.linalg.norm(-np.linalg.inv(q) - q) <= 1e-12
 
 
 class TestQstarPairing:
     def test_dual_basis_normalization(self):
         g = 2
-        maps = sy.duality_maps(sy.make_standard_space(g))
         a1 = np.zeros(2 * g)
         b1 = np.zeros(2 * g)
         a1[0] = 1.0
         b1[g] = 1.0
-        assert sy.qstar_pairing(maps, a1, b1) == pytest.approx(1.0)
+        assert sy.qstar_pairing(a1, b1) == pytest.approx(1.0)
 
     def test_isotropic(self):
-        maps = sy.duality_maps(sy.make_standard_space(2))
         rng = np.random.default_rng(0)
         a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        assert abs(sy.qstar_pairing(maps, a, a)) < 1e-14
+        assert abs(sy.qstar_pairing(a, a)) < 1e-14
 
     def test_antisymmetry_and_bilinearity(self):
-        maps = sy.duality_maps(sy.make_standard_space(3))
         rng = np.random.default_rng(1)
         for _ in range(25):
             a = rng.standard_normal(6) + 1j * rng.standard_normal(6)
             b = rng.standard_normal(6) + 1j * rng.standard_normal(6)
             c = rng.standard_normal(6) + 1j * rng.standard_normal(6)
             s = complex(rng.standard_normal() + 1j * rng.standard_normal())
-            assert sy.qstar_pairing(maps, a, b) == pytest.approx(-sy.qstar_pairing(maps, b, a))
-            assert sy.qstar_pairing(maps, a, s * b + c) == pytest.approx(
-                s * sy.qstar_pairing(maps, a, b) + sy.qstar_pairing(maps, a, c)
+            assert sy.qstar_pairing(a, b) == pytest.approx(-sy.qstar_pairing(b, a))
+            assert sy.qstar_pairing(a, s * b + c) == pytest.approx(
+                s * sy.qstar_pairing(a, b) + sy.qstar_pairing(a, c)
             )
 
     def test_dimension_mismatch(self):
-        maps = sy.duality_maps(sy.make_standard_space(2))
         with pytest.raises(DimensionMismatchError):
-            sy.qstar_pairing(maps, np.zeros(3), np.zeros(4))
+            sy.qstar_pairing(np.zeros(3), np.zeros(4))
 
+    @pytest.mark.parametrize("n", [1, 3, 0], ids=["one", "three", "empty"])
+    def test_odd_or_empty_length_rejected(self, n):
+        with pytest.raises(DimensionMismatchError):
+            sy.qstar_pairing(np.zeros(n), np.zeros(n))
 
-class TestPsiQAsFunctional:
-    def test_agrees_with_matrix_route(self):
+    def test_agrees_with_psi_q_matrix_route(self):
+        # Qstar(omega_bar, lam) = <psi_Q omega_bar, lam> with psi_Q = -duality_maps(g)
         rng = np.random.default_rng(5)
         for g in (1, 2, 3):
             cs = sy.complex_structure_from_period_matrix(random_siegel_point(g, rng))
-            maps = sy.duality_maps(cs.space)
             omega_bar = cs.H01 @ (rng.standard_normal(g) + 1j * rng.standard_normal(g))
-            functional = sy.psiQ_as_functional(maps, cs, omega_bar)
             for _ in range(10):
                 lam = cs.H10 @ (rng.standard_normal(g) + 1j * rng.standard_normal(g))
-                via_matrix = lam @ (maps.psiQ @ omega_bar)
-                assert abs(functional(lam) - via_matrix) <= 1e-12 * max(1.0, abs(via_matrix))
-
-    def test_lemma_identity_at_g1(self):
-        cs = sy.complex_structure_from_period_matrix(np.array([[1j]]))
-        maps = sy.duality_maps(cs.space)
-        omega_bar = cs.H01[:, 0]
-        omega = cs.H10[:, 0]
-        functional = sy.psiQ_as_functional(maps, cs, omega_bar)
-        assert functional(omega) == pytest.approx(sy.qstar_pairing(maps, omega_bar, omega))
-
-    def test_zero_vector_gives_zero_functional(self):
-        cs = sy.complex_structure_from_period_matrix(np.array([[1j]]))
-        maps = sy.duality_maps(cs.space)
-        functional = sy.psiQ_as_functional(maps, cs, np.zeros(2, dtype=complex))
-        assert functional(cs.H10[:, 0]) == 0
-
-    def test_rejects_vector_outside_h01(self):
-        cs = sy.complex_structure_from_period_matrix(np.array([[1j]]))
-        maps = sy.duality_maps(cs.space)
-        with pytest.raises(SpanError):
-            sy.psiQ_as_functional(maps, cs, cs.H10[:, 0])
-
-    def test_curve_backed_structure(self, g2_ctx):
-        # conjugated period vectors of a curve's normalized basis live in H01
-        from curvekernel import bergman
-
-        cs = sy.complex_structure_from_period_matrix(g2_ctx.pd.Z)
-        maps = sy.duality_maps(cs.space)
-        omega_bar = bergman.class_period_vector(g2_ctx, [0.4 - 0.9j, 1.1 + 0.2j], conjugated=True)
-        functional = sy.psiQ_as_functional(maps, cs, omega_bar)
-        lam = bergman.class_period_vector(g2_ctx, [1.0, -0.5j])
-        assert functional(lam) == pytest.approx(sy.qstar_pairing(maps, omega_bar, lam))
+                via_matrix = lam @ (-sy.duality_maps(g) @ omega_bar)
+                pairing = sy.qstar_pairing(omega_bar, lam)
+                assert abs(pairing - via_matrix) <= 1e-12 * max(1.0, abs(via_matrix))

@@ -108,10 +108,8 @@ class TestBuildLattice:
         with pytest.raises(TruncationError):
             ws.build_lattice(1.0, 1j, truncation=8, max_truncation=8)
 
-    @pytest.mark.parametrize(
-        "w2,levels", [(0.3 + 1.1j, [64]), (20j, [64, 128])], ids=["generic", "thin"]
-    )
-    def test_each_level_built_once(self, monkeypatch, w2, levels):
+    @pytest.fixture
+    def built_levels(self, monkeypatch):
         built = []
         grid = ws._grid
 
@@ -120,9 +118,22 @@ class TestBuildLattice:
             return grid(r1, r2, n)
 
         monkeypatch.setattr(ws, "_grid", recording_grid)
+        return built
+
+    @pytest.mark.parametrize(
+        "w2,levels", [(0.3 + 1.1j, [64]), (20j, [64, 128])], ids=["generic", "thin"]
+    )
+    def test_each_level_built_once(self, built_levels, w2, levels):
         lat = ws.build_lattice(1.0, w2)
-        assert built == levels
+        assert built_levels == levels
         assert lat.truncation == levels[-1]
+
+    def test_stops_at_the_rounding_floor(self, built_levels):
+        # (1, 40i): 1.1e-6 at 64, 6.30e-11 at 128, 6.16e-11 at 256; a doubling that
+        # gains less than the n^-6 tail would is not worth another, larger level
+        with pytest.raises(TruncationError, match="at truncation 256"):
+            ws.build_lattice(1.0, 40j)
+        assert built_levels == [64, 128, 256]
 
     @pytest.mark.parametrize(
         "scale,w2", [(0.25, 1j), (0.25, 2j), (0.01, 2j), (100.0, 2j)], ids=["square", "rect", "small", "large"]
