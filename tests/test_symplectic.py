@@ -177,3 +177,18 @@ class TestQstarPairing:
                 via_matrix = lam @ (-sy.duality_maps(g) @ omega_bar)
                 pairing = sy.qstar_pairing(omega_bar, lam)
                 assert abs(pairing - via_matrix) <= 1e-12 * max(1.0, abs(via_matrix))
+
+
+class TestPsiQAsFunctional:
+    def test_curve_backed_structure(self, g2_ctx):
+        # conjugated period vectors of a curve's normalized basis live in H01,
+        # and lam -> <psi_Q omega_bar, lam> is the Q* pairing with omega_bar
+        from curvekernel import bergman
+
+        cs = sy.complex_structure_from_period_matrix(g2_ctx.pd.Z)
+        omega_bar = bergman.class_period_vector(g2_ctx, [0.4 - 0.9j, 1.1 + 0.2j], conjugated=True)
+        coeffs, *_ = np.linalg.lstsq(cs.H01, omega_bar, rcond=None)
+        assert np.linalg.norm(cs.H01 @ coeffs - omega_bar) <= 1e-10 * np.linalg.norm(omega_bar)
+        lam = bergman.class_period_vector(g2_ctx, [1.0, -0.5j])
+        via_matrix = lam @ (-sy.duality_maps(cs.g) @ omega_bar)
+        assert via_matrix == pytest.approx(sy.qstar_pairing(omega_bar, lam))
