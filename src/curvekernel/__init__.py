@@ -4,11 +4,11 @@ Subpackage map:
 
 * ``symplectic``: the standard symplectic form, complex structures, the dual pairing.
 * ``siegel``: Cartan decomposition and the bracket tensor in two pictures.
-* ``periods``: hyperelliptic curves, period matrices, Riemann certificate.
-* ``bergman``: Hodge product, reproducing elements, kernel evaluation.
+* ``periods``: hyperelliptic curves, tangents, period matrices, Riemann certificate.
+* ``bergman``: Hodge product, reproducing elements, kernel evaluation on a curve.
 * ``torelli``: point-supported cup products and the bracket/kernel identity.
-* ``weierstrass`` / ``torus``: genus-one lattice functions, potentials and
-  the exactness check for the connecting form.
+* ``weierstrass`` / ``torus``: genus-one lattice functions, potentials, the
+  closed-form torus kernel and the exactness check for the connecting form.
 * ``cli``: batch commands with JSON reports.
 """
 

@@ -13,20 +13,21 @@ value at a pair of tangent vectors and the tests pin their agreement:
 * ``gram``: conj(e(v)) . G^{-1} . e(u) in the working basis;
 * ``unitary``: plain sum over a unitarized basis;
 * ``normalized``: (1/2) conj(e~(v)) . (Im Z)^{-1} . e~(u) in the
-  a-normalized basis (requires period data).
+  a-normalized basis.
 
 ``presentation_spread`` is the largest disagreement among them.
 
-Every function takes the context first and returns plain arrays:
-``reproducing_element`` gives the coefficients of k_u and
-``class_period_vector`` the (a* | b*) coordinates of classes. All evaluation
-is batched: tangents of shape (...) give basis values of shape (..., g) and
-kernel values of shape (...); a scalar tangent gives a complex.
+A ``BergmanContext`` is always a curve's: ``context_from_periods`` builds
+it from the period data and a working basis, and it evaluates that basis
+on tangents itself. Every function takes the context first and returns
+plain arrays: ``reproducing_element`` gives the coefficients of k_u and
+``class_period_vector`` the (a* | b*) coordinates of classes. All
+evaluation is batched: tangents of shape (...) give basis values of shape
+(..., g) and kernel values of shape (...); a scalar tangent gives a complex.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -37,30 +38,27 @@ from .symplectic import duality_maps, qstar_pairing
 
 @dataclass(frozen=True, eq=False)
 class BergmanContext:
-    """Gram data of a working basis of holomorphic differentials.
+    """Gram data of a working basis of a curve's holomorphic differentials.
 
-    ``eval_basis`` maps tangents of shape (...) to basis values (..., g);
-    ``period_rows`` (g x 2g, rows = period vectors of the basis) is present
-    for curve-backed contexts and None for directly presented ones; only
-    a context with period rows can pair classes through Qstar.
+    The rows of ``W`` (g x g) express the working basis in the raw monomial
+    differentials; ``period_rows`` (g x 2g) holds their period vectors
+    W (A | B), and ``unitary_change`` is U with U gram U^H = I.
     """
 
-    g: int
+    pd: PeriodData
+    W: np.ndarray
+    period_rows: np.ndarray
     gram: np.ndarray
     gram_inv: np.ndarray
     unitary_change: np.ndarray
-    eval_basis: Callable[[TangentVector], np.ndarray]
-    pd: PeriodData | None = None
-    period_rows: np.ndarray | None = None
 
+    @property
+    def g(self) -> int:
+        return self.pd.g
 
-def _gram_fields(gram: np.ndarray) -> dict:
-    """Gram matrix, its inverse and U with U gram U^H = I (inverse Cholesky factor)."""
-    try:
-        chol = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError as err:
-        raise SingularSystemError("Gram matrix is not positive definite") from err
-    return {"gram": gram, "gram_inv": np.linalg.inv(gram), "unitary_change": np.linalg.inv(chol)}
+    def eval_basis(self, u: TangentVector) -> np.ndarray:
+        """Working-basis values on tangents of shape (...), shape (..., g)."""
+        return raw_differential_eval(self.pd.curve, u) @ self.W.T
 
 
 def context_from_periods(pd: PeriodData, basis="normalized") -> BergmanContext:
@@ -84,23 +82,18 @@ def context_from_periods(pd: PeriodData, basis="normalized") -> BergmanContext:
     period_rows = np.hstack([W @ pd.A, W @ pd.B])
     gram = 1j * (period_rows @ duality_maps(g) @ period_rows.conj().T)
     gram = (gram + gram.conj().T) / 2
-
-    def eval_basis(u: TangentVector) -> np.ndarray:
-        return raw_differential_eval(pd.curve, u) @ W.T
-
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as err:
+        raise SingularSystemError("Gram matrix is not positive definite") from err
     return BergmanContext(
-        g=g,
-        **_gram_fields(gram),
-        eval_basis=eval_basis,
         pd=pd,
+        W=W,
         period_rows=period_rows,
+        gram=gram,
+        gram_inv=np.linalg.inv(gram),
+        unitary_change=np.linalg.inv(chol),
     )
-
-
-def context_from_gram(gram, eval_basis: Callable[[TangentVector], np.ndarray]) -> BergmanContext:
-    """Context for a directly presented Hermitian product (e.g. a torus)."""
-    gram = np.asarray(gram, dtype=complex)
-    return BergmanContext(g=gram.shape[0], **_gram_fields(gram), eval_basis=eval_basis)
 
 
 def class_period_vector(ctx: BergmanContext, coeffs, conjugated: bool = False) -> np.ndarray:
@@ -109,8 +102,6 @@ def class_period_vector(ctx: BergmanContext, coeffs, conjugated: bool = False) -
     In the normalized basis a class maps to (coeffs | coeffs @ Z); conjugated
     classes map to the entrywise conjugate. Shape (..., 2g).
     """
-    if ctx.period_rows is None:
-        raise DimensionMismatchError("context has no period data")
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.shape[-1:] != (ctx.g,):
         raise DimensionMismatchError(f"expected {ctx.g} coefficients, got shape {coeffs.shape}")
@@ -124,27 +115,19 @@ def evaluate_class(ctx: BergmanContext, coeffs, u: TangentVector):
 
 
 def hodge_product(ctx: BergmanContext, alpha, beta) -> complex:
-    """h(alpha, beta) = i * integral of alpha wedge conj(beta).
+    """h(alpha, beta) = i * integral of alpha wedge conj(beta), through the dual pairing.
 
     Arguments of length g are holomorphic coefficient vectors in the
     working basis; arguments of length 2g are taken as period vectors of
-    the class itself (mixed-type inputs). Curve-backed contexts go through
-    period vectors and the dual pairing; presented contexts contract the
-    Gram matrix directly.
+    the class itself (mixed-type inputs).
     """
-    alpha = np.asarray(alpha, dtype=complex)
-    beta = np.asarray(beta, dtype=complex)
-    g = ctx.g
-    if ctx.period_rows is not None:
-        pa = class_period_vector(ctx, alpha) if alpha.shape == (g,) else _as_period(alpha, g)
-        pb = class_period_vector(ctx, beta) if beta.shape == (g,) else _as_period(beta, g)
-        return 1j * qstar_pairing(pa, pb.conj())
-    if alpha.shape != (g,) or beta.shape != (g,):
-        raise DimensionMismatchError("presented contexts accept coefficient vectors only")
-    return complex(alpha @ ctx.gram @ beta.conj())
+    return 1j * qstar_pairing(_period_vector(ctx, alpha), _period_vector(ctx, beta).conj())
 
 
-def _as_period(vec: np.ndarray, g: int) -> np.ndarray:
+def _period_vector(ctx: BergmanContext, vec) -> np.ndarray:
+    vec, g = np.asarray(vec, dtype=complex), ctx.g
+    if vec.shape == (g,):
+        return class_period_vector(ctx, vec)
     if vec.shape != (2 * g,):
         raise DimensionMismatchError(f"expected a class of length {g} or {2 * g}, got {vec.shape}")
     return vec
@@ -163,8 +146,6 @@ def bergman_eval(ctx: BergmanContext, u: TangentVector, v: TangentVector, presen
         change = ctx.unitary_change.T
         M, eu, ev = np.eye(ctx.g), ctx.eval_basis(u) @ change, ctx.eval_basis(v) @ change
     elif presentation == "normalized":
-        if ctx.pd is None:
-            raise DimensionMismatchError("normalized presentation requires period data")
         M = 0.5 * np.linalg.inv(ctx.pd.Z.imag)
         eu, ev = normalized_differential_eval(ctx.pd, u), normalized_differential_eval(ctx.pd, v)
     else:
@@ -173,10 +154,7 @@ def bergman_eval(ctx: BergmanContext, u: TangentVector, v: TangentVector, presen
 
 
 def three_presentation_values(ctx: BergmanContext, u: TangentVector, v: TangentVector) -> dict[str, complex]:
-    out = {"gram": bergman_eval(ctx, u, v, "gram"), "unitary": bergman_eval(ctx, u, v, "unitary")}
-    if ctx.pd is not None:
-        out["normalized"] = bergman_eval(ctx, u, v, "normalized")
-    return out
+    return {p: bergman_eval(ctx, u, v, p) for p in ("gram", "unitary", "normalized")}
 
 
 def presentation_spread(values: dict[str, complex]) -> float:

@@ -22,9 +22,10 @@ None of this bookkeeping is trusted blindly: every computed period matrix
 must pass the Riemann-relation certificate (Z symmetric, Im Z positive
 definite) or ``compute_periods`` raises ``RiemannRelationError``.
 
-Curve points and tangent vectors may hold arrays of one shape (...), each
-point validated; ``raw_differential_eval`` and ``normalized_differential_eval``
-give all g differential values at once, shape (..., g), as one Vandermonde row.
+A ``TangentVector`` carries its point (x, sheet, y) and its coefficient
+lam; it may hold arrays of one shape (...), each point validated.
+``raw_differential_eval`` and ``normalized_differential_eval`` give all g
+differential values at once, shape (..., g), as one Vandermonde row.
 """
 from __future__ import annotations
 
@@ -94,16 +95,20 @@ def build_curve(f_coeffs) -> HyperellipticCurve:
 
 
 @dataclass(frozen=True)
-class CurvePoint:
-    """A point (x, y) with the sheet recording the chosen branch of sqrt f; or a batch of them."""
+class TangentVector:
+    """lam * d/dz at (x, y), y on the given sheet of sqrt f, z = x - x0 the chart; or a batch."""
 
     x: complex | np.ndarray
     sheet: int | np.ndarray
     y: complex | np.ndarray
+    lam: complex | np.ndarray
 
 
-def curve_point(curve: HyperellipticCurve, x, sheet=1) -> CurvePoint:
-    """The points over x on the given sheets; x and sheet broadcast to one shape."""
+def tangent(curve: HyperellipticCurve, x, sheet=1, lam=1.0) -> TangentVector:
+    """Tangents lam * d/dz over x on the given sheets; x and sheet broadcast to one shape."""
+    lam = np.asarray(lam, dtype=complex)
+    if not np.isfinite(lam).all():
+        raise CurveError(f"lam must be finite, got {lam[~np.isfinite(lam)][0]}")
     x, sheet = np.broadcast_arrays(np.asarray(x, dtype=complex), np.asarray(sheet))
     if not np.isfinite(x).all():
         raise CurveError(f"x must be finite, got {x[~np.isfinite(x)][0]}")
@@ -119,27 +124,12 @@ def curve_point(curve: HyperellipticCurve, x, sheet=1) -> CurvePoint:
         raise BranchPointProximityError(
             f"|y| = {abs(y[near][0]):.3e} at x = {x[near][0]}: too close to a branch point"
         )
-    return CurvePoint(x=x[()], sheet=sheet[()], y=y[()])
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """lam * d/dz at a curve point, z = x - x0 the affine chart coordinate; or a batch."""
-
-    base: CurvePoint
-    lam: complex | np.ndarray
-
-
-def tangent(curve: HyperellipticCurve, x, sheet=1, lam=1.0) -> TangentVector:
-    lam = np.asarray(lam, dtype=complex)
-    if not np.isfinite(lam).all():
-        raise CurveError(f"lam must be finite, got {lam[~np.isfinite(lam)][0]}")
-    return TangentVector(base=curve_point(curve, x, sheet), lam=lam[()])
+    return TangentVector(x=x[()], sheet=sheet[()], y=y[()], lam=lam[()])
 
 
 def raw_differential_eval(curve: HyperellipticCurve, u: TangentVector) -> np.ndarray:
     """Values lam x^(k-1) / y of the g differentials x^(k-1) dx / y on u, shape (..., g)."""
-    x, lam, y = (np.asarray(a, dtype=complex)[..., None] for a in (u.base.x, u.lam, u.base.y))
+    x, lam, y = (np.asarray(a, dtype=complex)[..., None] for a in (u.x, u.lam, u.y))
     return lam * x ** np.arange(curve.g) / y
 
 

@@ -120,6 +120,7 @@ def complex_structure_from_period_matrix(Z: np.ndarray) -> ComplexStructure:
     if not np.isfinite(Z).all():
         raise SiegelDomainError("period matrix has non-finite entries")
     g = Z.shape[0]
+    Q = duality_maps(g)  # rejects g = 0 before eigvalsh meets an empty matrix
     if np.linalg.norm(Z - Z.T) > MATRIX_TOL:
         raise SiegelDomainError("period matrix is not symmetric")
     im_eigmin = np.linalg.eigvalsh(Z.imag).min()
@@ -127,7 +128,6 @@ def complex_structure_from_period_matrix(Z: np.ndarray) -> ComplexStructure:
         raise SiegelDomainError(
             f"imaginary part of the period matrix is not positive definite (min eig {im_eigmin:.3e})"
         )
-    Q = duality_maps(g)
     eye = np.eye(g)
     v0m1 = np.vstack([-Z, eye])
     vm10 = v0m1.conj()

@@ -12,16 +12,17 @@ components are
 
 so the bidifferential value is lam_u lam_v (p(zp - zq) + c1) and the
 antiholomorphic derivative is the constant that ties into the kernel form:
-c2 = 2 pi * (kernel diagonal coefficient) = pi / area.
+c2 = 2 pi * (kernel diagonal coefficient) = pi / area, since the kernel is
+the constant dz (x) conj(dz) / h(dz, dz) = dz (x) conj(dz) / (2 area).
 
 ``theorem_b_check`` verifies, over all N samples at once, that the
 connecting form's holomorphic derivative reproduces the bidifferential and
 its antiholomorphic derivative reproduces -2 pi times the kernel; both are
 cross-checked against central differences of ``alpha_eval`` with one slot
-frozen. It makes one ``wp`` (2N points), one ``wzeta`` (8N stencil points)
-and one ``bergman_eval`` call (N tangent pairs). With s = ``lat.scale`` the
-step is 1e-4 s and every residual is times s^2 (p, c1, c2 scale as s^-2),
-so none depends on the lattice's scale.
+frozen. It makes one ``wp`` (2N points) and one ``wzeta`` (8N stencil
+points) call, and one ``torus_kernel`` product over the N pairs. With
+s = ``lat.scale`` the step is 1e-4 s and every residual is times s^2 (p,
+c1, c2 scale as s^-2), so none depends on the lattice's scale.
 """
 from __future__ import annotations
 
@@ -29,9 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bergman import BergmanContext, bergman_eval, context_from_gram
 from .errors import PoleError
-from .periods import CurvePoint, TangentVector
 from .weierstrass import LatticeContext, wp, wzeta
 
 #: ``random_samples`` keeps zp - zq this many lattice scales away from the lattice.
@@ -45,20 +44,9 @@ class EtaEvaluator:
     lattice: LatticeContext
 
 
-def torus_tangent(z, lam=1.0) -> TangentVector:
-    """Tangent vector lam * d/dz at a point of the torus chart; z and lam may be arrays."""
-    z, lam = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(lam, dtype=complex))
-    return TangentVector(base=CurvePoint(x=z[()], sheet=1, y=1.0), lam=lam[()])
-
-
-def torus_bergman_context(lat: LatticeContext) -> BergmanContext:
-    """Bergman context of the torus: h(dz, dz) = 2 * area."""
-    gram = np.array([[2.0 * lat.area]], dtype=complex)
-
-    def eval_basis(u: TangentVector) -> np.ndarray:
-        return np.asarray(u.lam, dtype=complex)[..., None]
-
-    return context_from_gram(gram, eval_basis)
+def torus_kernel(lat: LatticeContext, lam_u, lam_v):
+    """Kernel value conj(lam_v) lam_u / (2 area) at lam_u d/dz, lam_v d/dz; arrays broadcast."""
+    return np.conj(lam_v) * (1 / (2.0 * lat.area)) * lam_u
 
 
 def elementary_potential(lat: LatticeContext, z):
@@ -70,10 +58,7 @@ def elementary_potential(lat: LatticeContext, z):
 
 def dbar_potential_check(lat: LatticeContext) -> tuple[complex, complex]:
     """(c2, 2 pi * kernel coefficient): equal when dbar F = 2 pi conj(k)."""
-    ctx = torus_bergman_context(lat)
-    u = torus_tangent(0.0, 1.0)
-    kernel_diag = bergman_eval(ctx, u, u)  # = 1 / (2 area)
-    return lat.c2, 2 * np.pi * complex(kernel_diag)
+    return lat.c2, 2 * np.pi * complex(torus_kernel(lat, 1.0, 1.0))
 
 
 def eta_hat_eval(ev: EtaEvaluator, zp, zq, lam_u, lam_v):
@@ -156,8 +141,7 @@ def theorem_b_check(
     residual_d = np.abs(d_side - eta_pq) * scale**2
     # analytic dbar-side against the kernel
     dbar_side = -lat.c2 * lam_u * np.conj(lam_v)
-    ctx = torus_bergman_context(lat)
-    kernel_side = -2 * np.pi * bergman_eval(ctx, torus_tangent(zp, lam_u), torus_tangent(zq, lam_v))
+    kernel_side = -2 * np.pi * torus_kernel(lat, lam_u, lam_v)
     residual_dbar = np.abs(dbar_side - kernel_side) * scale**2
     # central differences of 2 lam_v F(x - zq) at x = zp and of lam_u F(y - zp) at y = zq
     h = 1e-4 * scale

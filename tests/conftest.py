@@ -101,6 +101,6 @@ def random_tangent_batch(curve, rng, count):
     """``count`` tangents from ``random_curve_tangent``, as a list and as one batched tangent."""
     scalars = [random_curve_tangent(curve, rng) for _ in range(count)]
     batch = periods.tangent(
-        curve, [u.base.x for u in scalars], [u.base.sheet for u in scalars], [u.lam for u in scalars]
+        curve, [u.x for u in scalars], [u.sheet for u in scalars], [u.lam for u in scalars]
     )
     return scalars, batch

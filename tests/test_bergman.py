@@ -5,17 +5,8 @@ import pytest
 from conftest import random_curve_tangent, random_tangent_batch
 from numpy.testing import assert_allclose
 
-from curvekernel import bergman, periods
-from curvekernel.errors import DimensionMismatchError, SingularSystemError
-
-
-def torus_context(area=1.0):
-    gram = np.array([[2.0 * area]], dtype=complex)
-    return bergman.context_from_gram(gram, lambda u: np.array([u.lam], dtype=complex))
-
-
-def torus_tangent(lam):
-    return periods.TangentVector(base=periods.CurvePoint(x=0.0, sheet=1, y=1.0), lam=complex(lam))
+from curvekernel import bergman, periods, torus
+from curvekernel.errors import SingularSystemError
 
 
 class TestGram:
@@ -72,12 +63,9 @@ class TestHodgeProduct:
 
 
 class TestReproducingElement:
-    def test_torus_half_dz(self):
-        ctx = torus_context(area=1.0)
-        u = torus_tangent(1.0)
-        k = bergman.reproducing_element(ctx, u)
-        assert_allclose(k, [0.5], atol=1e-14)
-        assert bergman.evaluate_class(ctx, k, u) == pytest.approx(0.5)
+    def test_torus_half_dz(self, square_lattice):
+        # the unit square has area 1, so k = dz / h(dz, dz) = dz / 2
+        assert torus.torus_kernel(square_lattice, 1, 1) == pytest.approx(0.5, abs=1e-14)
 
     def test_reproducing_identity(self, g2_curve, g2_ctx):
         rng = np.random.default_rng(2)
@@ -203,17 +191,16 @@ class TestConventionIndependence:
             assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
 
 
-def test_presented_context_rejects_period_vector_input():
-    ctx = torus_context()
-    with pytest.raises(DimensionMismatchError):
-        bergman.hodge_product(ctx, np.zeros(2), np.zeros(2))
-
-
 class TestSingularGram:
-    @pytest.mark.parametrize("gram", [np.zeros((1, 1)), np.diag([1.0, 0.0])])
-    def test_named_error(self, gram):
+    @pytest.mark.parametrize(
+        "pd_name,basis",
+        [("g1_pd", np.zeros((1, 1))), ("g2_pd", np.diag([1.0, 0.0]))],
+        ids=["gram0", "gram1"],
+    )
+    def test_named_error(self, pd_name, basis, request):
+        # a basis with a zero row has a singular Gram matrix
         with pytest.raises(SingularSystemError):
-            bergman.context_from_gram(gram, lambda u: np.array([u.lam], dtype=complex))
+            bergman.context_from_periods(request.getfixturevalue(pd_name), basis=basis)
 
 
 @pytest.mark.parametrize("ctx_name", ["g1_ctx", "g2_ctx", "g3_ctx"])

@@ -5,7 +5,9 @@ C / (Z A + Z B), with A and B the a- and b-periods of dx/y, and x = p(z)
 there. So the lattice that ``build_lattice`` makes from ``compute_periods``
 must have 60 G4 = g2 and 140 G6 = g3: the curve side and the lattice side
 are oracles of each other. The Hodge product of dx/y is twice the cell's
-area, and p inverts the Abel map, which mpmath integrates independently.
+area, so the curve's kernel is the torus's closed form once a tangent
+lam d/dx is read as (lam / y) d/dz. And p inverts the Abel map, which
+mpmath integrates independently.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from curvekernel import bergman, periods, weierstrass
+from curvekernel import bergman, periods, torus, weierstrass
 
 
 def cubic_invariants(roots) -> tuple[float, float]:
@@ -51,8 +53,19 @@ def test_periods_span_the_lattice_of_the_invariants(roots, order):
     assert 60 * lat.eisenstein4 == pytest.approx(g2, rel=1e-12, abs=0)
     assert 140 * lat.eisenstein6 == pytest.approx(g3, rel=1e-12, abs=0)
     # h(dx/y, dx/y) = i * integral of dz wedge conj(dz) = 2 area, with the lattice's orientation
-    gram = bergman.context_from_periods(pd, basis="raw").gram[0, 0]
-    assert gram == pytest.approx(2 * lat.area, rel=1e-12, abs=0)
+    ctx = bergman.context_from_periods(pd, basis="raw")
+    assert ctx.gram[0, 0] == pytest.approx(2 * lat.area, rel=1e-12, abs=0)
+    # dz = dx/y carries the tangent lam d/dx to (lam / y) d/dz
+    u = periods.tangent(
+        pd.curve, [0.3 + 0.4j, -1.7 + 0.2j, 2.5 - 0.6j, -0.4 - 1.5j], [1, -1, 1, -1], [1, 0.3 - 0.8j, -0.5j, 2 + 1j]
+    )
+    v = periods.tangent(
+        pd.curve, [1.1 - 0.7j, 0.2 + 1.3j, -0.9 - 0.3j, 3.0 + 0.5j], [-1, -1, 1, 1], [0.7 + 0.2j, 1, -1.2 + 0.4j, 0.6j]
+    )
+    expected = torus.torus_kernel(lat, u.lam / u.y, v.lam / v.y)
+    for presentation in ("gram", "unitary", "normalized"):
+        got = bergman.bergman_eval(ctx, u, v, presentation)
+        assert got == pytest.approx(expected, rel=1e-12, abs=0), presentation
 
 
 def abel_map(x: complex, e) -> complex:

@@ -123,7 +123,7 @@ class TestDifferentialEval:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.5, np.nan)])
     def test_non_finite_x_rejected(self, g1_curve, bad):
         with pytest.raises(CurveError):
-            periods.curve_point(g1_curve, np.array([2.0, bad]))
+            periods.tangent(g1_curve, np.array([2.0, bad]))
         with pytest.raises(CurveError):
             periods.tangent(g1_curve, bad, 1, 1.0)
 
@@ -131,7 +131,7 @@ class TestDifferentialEval:
     def test_overflowing_f_rejected(self, g1_curve, x):
         # x is finite but f(x) = x^3 - x is not
         with pytest.raises(CurveError):
-            periods.curve_point(g1_curve, np.array([2.0, x]))
+            periods.tangent(g1_curve, np.array([2.0, x]))
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf, complex(np.nan, 1.0)])
     def test_non_finite_lam_rejected(self, g1_curve, bad):

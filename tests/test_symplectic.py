@@ -79,6 +79,10 @@ class TestComplexStructureFromPeriodMatrix:
         with pytest.raises(SiegelDomainError):
             sy.complex_structure_from_period_matrix(np.array([[2.0 + 0j]]))
 
+    def test_empty_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            sy.complex_structure_from_period_matrix(np.zeros((0, 0)))
+
     def test_nonsymmetric_rejected(self):
         z = np.array([[1j, 0.5], [0.4, 1j]])
         with pytest.raises(SiegelDomainError):

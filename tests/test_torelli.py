@@ -131,7 +131,7 @@ class TestTheoremA:
         u = random_curve_tangent(g2_curve, rng)
         v = random_curve_tangent(g2_curve, rng)
         c = 1.7 - 0.3j
-        cu = periods.TangentVector(base=u.base, lam=c * u.lam)
+        cu = periods.TangentVector(x=u.x, sheet=u.sheet, y=u.y, lam=c * u.lam)
         omega = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         omega_prime = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         base = torelli.theorem_a_check(g2_ctx, omega, omega_prime, u, v)

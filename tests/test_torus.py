@@ -182,7 +182,6 @@ def reference_residuals(lat, samples):
     scale).
     """
     ev = torus.EtaEvaluator(lattice=lat)
-    ctx = torus.torus_bergman_context(lat)
     s = min(abs(lat._r1), abs(lat._r2))
     h = 1e-4 * s
 
@@ -196,8 +195,8 @@ def reference_residuals(lat, samples):
         eta_pq = torus.eta_hat_eval(ev, zp, zq, lam_u, lam_v)
         d_side = 2 * eta_pq - torus.eta_hat_eval(ev, zq, zp, lam_u, lam_v)
         dbar_side = -lat.c2 * lam_u * np.conj(lam_v)
-        u, v = torus.torus_tangent(zp, lam_u), torus.torus_tangent(zq, lam_v)
-        kernel_side = -2 * np.pi * bergman.bergman_eval(ctx, u, v)
+        # the torus kernel is the constant dz (x) conj(dz) / h(dz, dz), h(dz, dz) = 2 area
+        kernel_side = -2 * np.pi * np.conj(lam_v) * lam_u / (2 * lat.area)
         dz_b, _ = wirtinger(lambda x: torus.alpha_eval(ev, x, zq, 0.0, lam_v), zp)
         dz_a, dzbar_a = wirtinger(lambda y: torus.alpha_eval(ev, zp, y, lam_u, 0.0), zq)
         rows.append(
@@ -260,18 +259,6 @@ class TestBatchedTheoremB:
         assert dist.min() >= 0.3 * min(abs(lat._r1), abs(lat._r2))
         assert np.abs(lam_u).min() >= 0.1 and np.abs(lam_v).min() >= 0.1
 
-    def test_one_bergman_eval_call(self, generic_lattice, monkeypatch):
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return bergman.bergman_eval(*args, **kwargs)
-
-        monkeypatch.setattr(torus, "bergman_eval", counting)
-        samples = torus.random_samples(generic_lattice, 50, np.random.default_rng(0))
-        torus.theorem_b_check(torus.EtaEvaluator(lattice=generic_lattice), samples)
-        assert len(calls) == 1
-
     def test_sample_on_lattice_translate_of_diagonal_rejected(self, square_lattice):
         zp = 0.1 + 0.2j
         samples = [(0.3 - 0.1j, 0.4j, 1.0, 1.0), (zp, zp + square_lattice.omega1, 0.5, -0.7j)]
@@ -289,7 +276,6 @@ class TestCrossModelConsistency:
         """
         assert abs(g1_pd.Z[0, 0] - 1j) <= 1e-10
         curve_ctx = bergman.context_from_periods(g1_pd)
-        torus_ctx = torus.torus_bergman_context(square_lattice)
         rng = np.random.default_rng(4)
         for _ in range(20):
             x_u = complex(rng.uniform(-2, 2), rng.uniform(0.3, 1.5))
@@ -302,7 +288,5 @@ class TestCrossModelConsistency:
             # transported coefficients: lam' = (normalized differential)(u)
             (lam_u_t,) = periods.normalized_differential_eval(g1_pd, u)
             (lam_v_t,) = periods.normalized_differential_eval(g1_pd, v)
-            torus_val = bergman.bergman_eval(
-                torus_ctx, torus.torus_tangent(0.0, lam_u_t), torus.torus_tangent(0.0, lam_v_t)
-            )
+            torus_val = torus.torus_kernel(square_lattice, lam_u_t, lam_v_t)
             assert abs(curve_val - torus_val) <= 1e-8 * max(1.0, abs(curve_val))
