@@ -15,21 +15,30 @@ of the largest root and gains a factor i across each branch point, which
 is the analytic continuation through the upper half-plane. Segment
 integrals of x^(k-1)/y use Gauss-Chebyshev nodes, which absorb the
 inverse-square-root endpoint singularities exactly; the remaining factor
-is analytic on the closed segment so convergence is spectral. All d-1
-segment integrals are one array expression over nodes of shape (d-1, order).
+is analytic on the closed segment so convergence is spectral.
+
+The period kernel makes the same number of numpy calls at every genus. The
+factors |x - e_l| off each segment are one product over the root axis of a
+(d, d-1, order) distance array; the moments x^k / sqrt|f| are one running
+product (``np.multiply.accumulate``) over k, with no ``pow``; and (A | B) is
+the segment table times a fixed 0/2 cycle incidence matrix. f(x) itself is
+lead * prod (x - e_l) over the sorted roots, the factors the kernel uses.
 
 None of this bookkeeping is trusted blindly: every computed period matrix
 must pass the Riemann-relation certificate (Z symmetric, Im Z positive
 definite) or ``compute_periods`` raises ``RiemannRelationError``.
 
 A ``TangentVector`` carries its point (x, sheet, y) and its coefficient
-lam; it may hold arrays of one shape (...), each point validated.
+lam; it may hold arrays of one shape (...), each point validated, and
+``tangent`` broadcasts x, sheet and lam to that shape.
 ``raw_differential_eval`` and ``normalized_differential_eval`` give all g
-differential values at once, shape (..., g), as one Vandermonde row.
+differential values at once, shape (..., g), as one Vandermonde row built
+by the same running product.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,9 +56,9 @@ from .errors import (
 BRANCH_EXCLUSION = 1e-6
 #: Frobenius-norm tolerance on Z - Z^T.
 TOL_RIEMANN = 1e-8
-#: Roots of f closer than this make it non-squarefree at working precision.
+#: Roots of f closer than this times max|e_i| make it non-squarefree at working precision.
 _MIN_ROOT_GAP = 1e-8
-#: Roots of f with a larger imaginary part are taken as non-real.
+#: Roots of f with an imaginary part above this times max|e_i| are taken as non-real.
 _ROOT_IMAG_TOL = 1e-9
 
 
@@ -70,7 +79,8 @@ class HyperellipticCurve:
         return self.f_coeffs[-1]
 
     def f(self, x):
-        return np.polynomial.polynomial.polyval(x, np.asarray(self.f_coeffs))
+        """lead * prod_l (x - e_l) over the sorted roots, elementwise in x."""
+        return self.leading * np.prod(np.asarray(x)[..., None] - self.roots, axis=-1)
 
 
 def build_curve(f_coeffs) -> HyperellipticCurve:
@@ -83,12 +93,13 @@ def build_curve(f_coeffs) -> HyperellipticCurve:
     if deg < 3:
         raise DegreeError(f"degree must be at least 3, got {deg}")
     roots = np.polynomial.polynomial.polyroots(coeffs)
-    if np.abs(roots.imag).max() > _ROOT_IMAG_TOL:
+    scale = np.abs(roots).max()
+    if np.abs(roots.imag).max() > _ROOT_IMAG_TOL * scale:
         raise RootConfigurationError("f has non-real roots; only real branch points are supported")
     roots = np.sort(roots.real)
-    if np.diff(roots).min() <= _MIN_ROOT_GAP:
+    if np.diff(roots).min() <= _MIN_ROOT_GAP * scale:
         raise RootConfigurationError(
-            f"f is not squarefree at working precision (min root gap <= {_MIN_ROOT_GAP:g})"
+            f"f is not squarefree at working precision (min root gap <= {_MIN_ROOT_GAP:g} max|e|)"
         )
     g = (deg - 1) // 2
     return HyperellipticCurve(f_coeffs=tuple(coeffs), roots=roots, g=g)
@@ -105,11 +116,17 @@ class TangentVector:
 
 
 def tangent(curve: HyperellipticCurve, x, sheet=1, lam=1.0) -> TangentVector:
-    """Tangents lam * d/dz over x on the given sheets; x and sheet broadcast to one shape."""
+    """Tangents lam * d/dz over x on the given sheets; x, sheet and lam broadcast to one shape."""
     lam = np.asarray(lam, dtype=complex)
     if not np.isfinite(lam).all():
         raise CurveError(f"lam must be finite, got {lam[~np.isfinite(lam)][0]}")
-    x, sheet = np.broadcast_arrays(np.asarray(x, dtype=complex), np.asarray(sheet))
+    x, sheet = np.asarray(x, dtype=complex), np.asarray(sheet)
+    try:
+        x, sheet, lam = np.broadcast_arrays(x, sheet, lam)
+    except ValueError as err:
+        raise DimensionMismatchError(
+            f"x, sheet and lam do not broadcast: shapes {x.shape}, {sheet.shape}, {lam.shape}"
+        ) from err
     if not np.isfinite(x).all():
         raise CurveError(f"x must be finite, got {x[~np.isfinite(x)][0]}")
     bad = (sheet != 1) & (sheet != -1)
@@ -129,13 +146,24 @@ def tangent(curve: HyperellipticCurve, x, sheet=1, lam=1.0) -> TangentVector:
 
 def raw_differential_eval(curve: HyperellipticCurve, u: TangentVector) -> np.ndarray:
     """Values lam x^(k-1) / y of the g differentials x^(k-1) dx / y on u, shape (..., g)."""
-    x, lam, y = (np.asarray(a, dtype=complex)[..., None] for a in (u.x, u.lam, u.y))
-    return lam * x ** np.arange(curve.g) / y
+    lead = np.asarray(u.lam / u.y, dtype=complex)
+    # running product lam/y, lam/y * x, lam/y * x^2, ... along the last axis
+    terms = np.empty(lead.shape + (curve.g,), dtype=complex)
+    terms[..., 0] = lead
+    terms[..., 1:] = np.asarray(u.x)[..., None]
+    return np.multiply.accumulate(terms, axis=-1, out=terms)
 
 
+#: i^n for n mod 4.
+_I_POWERS = np.array([1, 1j, -1, -1j])
+
+
+@lru_cache(maxsize=8)
 def _chebyshev_nodes(order: int) -> tuple[np.ndarray, float]:
     j = np.arange(1, order + 1)
-    return np.cos((2 * j - 1) * np.pi / (2 * order)), np.pi / order
+    t = np.cos((2 * j - 1) * np.pi / (2 * order))
+    t.flags.writeable = False
+    return t, np.pi / order
 
 
 def _segment_integrals(curve: HyperellipticCurve, order: int) -> np.ndarray:
@@ -145,17 +173,31 @@ def _segment_integrals(curve: HyperellipticCurve, order: int) -> np.ndarray:
     t, weight = _chebyshev_nodes(order)
     a, b = e[:-1, None], e[1:, None]
     x = 0.5 * (a + b) + 0.5 * (b - a) * t
-    # row m of rest multiplies |x - e_l| over the roots l off segment m, in ascending l
-    rest = np.full_like(x, abs(curve.leading))
-    seg = np.arange(d - 1)[:, None]
-    for l in range(d):
-        rest *= np.where((seg == l) | (seg == l - 1), 1.0, np.abs(x - e[l]))
-    base = 1.0 / np.sqrt(rest)
-    # scalar powers, not x ** arange(g): numpy squares x**2 exactly where pow may not
-    moments = np.stack([x**k for k in range(curve.g)], axis=1) * base[:, None]
+    # dist[l, m] = |x - e_l| on segment m, with the segment's own ends set to 1;
+    # the root and power axes lead, so each product runs over whole contiguous planes
+    dist = x - e[:, None, None]
+    np.abs(dist, out=dist)
+    seg = np.arange(d - 1)
+    dist[seg, seg] = 1.0
+    dist[seg + 1, seg] = 1.0
+    base = 1.0 / np.sqrt(abs(curve.leading) * dist.prod(axis=0))
+    # moments[k, m] = x^k * base on segment m, k = 0..g-1, as one running product over k
+    moments = np.empty((curve.g, d - 1, order))
+    moments[0] = base
+    moments[1:] = x
+    np.multiply.accumulate(moments, axis=0, out=moments)
     lead_phase = 1.0 if curve.leading > 0 else 1j
-    phase = np.array([lead_phase * 1j ** (d - m) for m in range(1, d)])
-    return weight * moments.sum(axis=-1) / phase[:, None]
+    phase = lead_phase * _I_POWERS[(d - 1 - seg) % 4]  # i^(d-m) on segment m = seg + 1
+    return (weight * moments.sum(axis=-1) / phase).T
+
+
+@lru_cache(maxsize=32)
+def _cycle_incidence(d: int, g: int) -> np.ndarray:
+    """C with (A | B) = J^T C: column i takes 2 J[2i] (a_i), column g+i takes 2 J[j] for odd j > 2i (b_i)."""
+    rows, cols = np.arange(d - 1)[:, None], np.arange(g)
+    C = 2.0 * np.hstack([rows == 2 * cols, (rows % 2 == 1) & (rows > 2 * cols)])
+    C.flags.writeable = False
+    return C
 
 
 def compute_periods(curve: HyperellipticCurve, quad_order: int = 64) -> "PeriodData":
@@ -167,13 +209,8 @@ def compute_periods(curve: HyperellipticCurve, quad_order: int = 64) -> "PeriodD
     if quad_order < 8:
         raise DimensionMismatchError(f"quad_order must be >= 8, got {quad_order}")
     g = curve.g
-    segs = _segment_integrals(curve, quad_order)
-    A = np.empty((g, g), dtype=complex)
-    B = np.empty((g, g), dtype=complex)
-    for i in range(1, g + 1):
-        A[:, i - 1] = 2 * segs[2 * i - 2]
-        B[:, i - 1] = 2 * segs[2 * i - 1 :: 2].sum(axis=0)  # gap segments only
-    return _period_data(curve, A, B, quad_order)
+    ab = _segment_integrals(curve, quad_order).T @ _cycle_incidence(curve.degree, g)
+    return _period_data(curve, ab[:, :g], ab[:, g:], quad_order)
 
 
 def _period_data(curve, A, B, quad_order) -> "PeriodData":

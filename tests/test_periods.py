@@ -79,6 +79,22 @@ class TestBuildCurve:
         with pytest.raises(RootConfigurationError, match="non-finite"):
             periods.build_curve([0.0, -1.0, bad, 1.0])
 
+    @pytest.mark.parametrize("s", [1e-12, 1e-9, 1e9])
+    def test_root_thresholds_are_scale_free(self, s):
+        # Z depends only on the shape of the root set, so a scaled copy gives the same Z
+        roots = np.array([-1.0, 0.3, 1.2, 2.0, 3.1])
+        Z1 = periods.compute_periods(periods.build_curve(np.polynomial.polynomial.polyfromroots(roots))).Z
+        curve = periods.build_curve(np.polynomial.polynomial.polyfromroots(roots * s))
+        assert_allclose(curve.roots, roots * s, rtol=1e-12)
+        Zs = periods.compute_periods(curve).Z
+        assert np.abs(Zs - Z1).max() <= 1e-13 * np.abs(Z1).max()
+
+    @pytest.mark.parametrize("s", [1e-12, 1e-9, 1.0, 1e9])
+    def test_scaled_double_root_rejected(self, s):
+        roots = np.array([-1.0, 0.0, 0.0, 2.0, 3.1])
+        with pytest.raises(RootConfigurationError, match="not squarefree"):
+            periods.build_curve(np.polynomial.polynomial.polyfromroots(roots * s))
+
 
 class TestDifferentialEval:
     def test_direct_formula(self, g1_curve):
@@ -138,9 +154,19 @@ class TestDifferentialEval:
         with pytest.raises(CurveError):
             periods.tangent(g1_curve, np.array([2.0, 0.5 + 0.5j]), 1, np.array([1.0, bad]))
 
+    def test_lam_that_does_not_broadcast_rejected(self, g1_curve):
+        with pytest.raises(DimensionMismatchError):
+            periods.tangent(g1_curve, [2.0, 0.5 + 0.5j], 1, [1.0, 2.0, 3.0])
+
+    def test_lam_broadcasts_with_x_and_sheet(self, g1_curve):
+        u = periods.tangent(g1_curve, 2.0, 1, [1.0, 2.0, 3.0])
+        assert np.shape(u.x) == np.shape(u.sheet) == np.shape(u.y) == np.shape(u.lam) == (3,)
+        values = periods.raw_differential_eval(g1_curve, u)
+        assert_allclose(values[:, 0], np.array([1.0, 2.0, 3.0]) / np.sqrt(6.0))
+
 
 def loop_segment_integrals(curve, order):
-    """One segment and one moment at a time: the reference the array code must match bit for bit."""
+    """One segment and one moment at a time: the reference the array kernel must match to rounding."""
     e = curve.roots
     d = curve.degree
     t, weight = periods._chebyshev_nodes(order)
@@ -162,6 +188,10 @@ def loop_segment_integrals(curve, order):
 
 
 class TestSegmentIntegrals:
+    # The array kernel multiplies the same factors in another order (one product over the
+    # root axis, powers as a running product), so it agrees with the loop to rounding, not
+    # bit for bit: 1.6 eps * max|J| at most over these 128 cases. The name predates the
+    # tolerance and is kept so that the 128 test ids stay stable.
     @pytest.mark.parametrize("order", [8, 64, 96, 2048])
     @pytest.mark.parametrize("g", range(1, 9))
     @pytest.mark.parametrize("extra", [0, 1], ids=["odd", "even"])
@@ -173,9 +203,9 @@ class TestSegmentIntegrals:
         coeffs = sign * rng.uniform(0.5, 2.0) * np.polynomial.polynomial.polyfromroots(roots)
         curve = periods.build_curve(coeffs)
         assert (curve.degree, curve.g, curve.leading < 0) == (d, g, sign < 0)
-        np.testing.assert_array_equal(
-            periods._segment_integrals(curve, order), loop_segment_integrals(curve, order)
-        )
+        ref = loop_segment_integrals(curve, order)
+        miss = np.abs(periods._segment_integrals(curve, order) - ref).max()
+        assert miss <= 8 * np.finfo(float).eps * np.abs(ref).max()
 
 
 class TestComputePeriods:
@@ -196,6 +226,22 @@ class TestComputePeriods:
     def test_against_adaptive_oracle_g2(self, g2_curve, g2_pd):
         _, _, Z = oracle_periods(g2_curve, 2)
         assert_allclose(g2_pd.Z, Z, atol=1e-9)
+
+    @pytest.mark.parametrize("g", range(1, 9))
+    @pytest.mark.parametrize("extra", [0, 1], ids=["odd", "even"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["lead+", "lead-"])
+    def test_against_adaptive_oracle_genus_1_to_8(self, g, extra, sign):
+        # roots drawn as curvebench's curve-verify draws them, at the default order
+        d = 2 * g + 1 + extra
+        rng = np.random.default_rng([17, g, extra])
+        roots = np.arange(d) + rng.uniform(-0.3, 0.3, size=d)
+        roots -= roots.mean()
+        roots *= rng.uniform(1.0, 3.0) / np.abs(roots).max()
+        lead = sign * np.exp(rng.uniform(np.log(0.5), np.log(2.0)))
+        curve = periods.build_curve(lead * np.polynomial.polynomial.polyfromroots(roots))
+        pd = periods.compute_periods(curve)
+        for got, ref in zip((pd.A, pd.B, pd.Z), oracle_periods(curve, g)):
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_riemann_certificate_g2(self, g2_pd):
         assert g2_pd.riemann_residual <= 1e-8
