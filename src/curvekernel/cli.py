@@ -281,9 +281,6 @@ def main(argv=None) -> int:
     if not 0 < getattr(args, "tol", 1.0) < math.inf:
         print(json.dumps({"error": "tol must be finite and positive"}), file=sys.stderr)
         return 2
-    if getattr(args, "quad_order", 8) < 8:
-        print(json.dumps({"error": "quad_order must be >= 8"}), file=sys.stderr)
-        return 2
     try:
         return args.fn(args)
     except (CurveKernelError, json.JSONDecodeError, OSError, ValueError) as err:

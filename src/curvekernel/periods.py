@@ -25,8 +25,8 @@ the segment table times a fixed 0/2 cycle incidence matrix. f(x) itself is
 lead * prod (x - e_l) over the sorted roots, the factors the kernel uses.
 
 None of this bookkeeping is trusted blindly: every computed period matrix
-must pass the Riemann-relation certificate (Z symmetric, Im Z positive
-definite) or ``compute_periods`` raises ``RiemannRelationError``.
+must pass the Riemann certificate ``symplectic.siegel_residuals`` (Z symmetric,
+Im Z positive definite) or ``compute_periods`` raises ``RiemannRelationError``.
 
 A ``TangentVector`` carries its point (x, sheet, y) and its coefficient
 lam; it may hold arrays of one shape (...), each point validated, and
@@ -51,11 +51,10 @@ from .errors import (
     RootConfigurationError,
     SingularSystemError,
 )
+from .symplectic import TOL_RIEMANN, siegel_residuals
 
 #: |y| at or below which a curve point is refused as too close to a branch point.
 BRANCH_EXCLUSION = 1e-6
-#: Frobenius-norm tolerance on Z - Z^T.
-TOL_RIEMANN = 1e-8
 #: Roots of f closer than this times max|e_i| make it non-squarefree at working precision.
 _MIN_ROOT_GAP = 1e-8
 #: Roots of f with an imaginary part above this times max|e_i| are taken as non-real.
@@ -219,8 +218,7 @@ def _period_data(curve, A, B, quad_order) -> "PeriodData":
         N = np.linalg.inv(A)
     except np.linalg.LinAlgError as err:
         raise SingularSystemError("a-period matrix is singular") from err
-    residual = float(np.linalg.norm(Z - Z.T))
-    min_eig = float(np.linalg.eigvalsh((Z - Z.conj().T) / 2j).min())
+    residual, min_eig = siegel_residuals(Z)
     if residual > TOL_RIEMANN or min_eig <= 0:
         raise RiemannRelationError(
             "Riemann relations violated "

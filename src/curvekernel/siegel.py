@@ -1,39 +1,49 @@
 """Cartan decomposition at a complex structure and the bracket tensor.
 
 Elements of the symplectic Lie algebra are matrices X with Q(., X.)
-symmetric. At a fixed J the algebra splits into the J-commuting part and
-the J-anticommuting part p; the bracket of two p-elements lands back in
-the J-commuting part. The module keeps two pictures of p^{1,0} explicitly
-separate:
+symmetric, Q = ``symplectic.duality_maps(g)`` (also the matrix of Qstar).
+At a fixed J the algebra splits into the J-commuting part and the
+J-anticommuting part p; the bracket of two p-elements lands back in the
+J-commuting part. The module keeps two pictures of p^{1,0} explicitly
+separate, both closed forms in the period matrix Z = X + iY:
 
 * the endomorphism picture: X in End(V_C) vanishing on the +i eigenspace
-  with image inside it (``embed_p10``);
-* the identified picture: a g x g matrix t mapping H10 to H01 in the
-  stored annihilator bases (``p_tensor``), with the symmetry of
-  Qstar(., t .) as membership condition.
+  with image inside it (``embed_p10``: Vm10 Y^-1 t^T H01^T / 2i);
+* the identified picture: a g x g matrix t mapping H10 = (I; Z^T) to
+  H01 = conj(H10) (``p_tensor``), with the symmetry of Qstar(., t .) as
+  membership condition; Qstar on H10 x H01 is conj(Z) - Z^T = -2iY.
 
 Every function takes the ``ComplexStructure`` first and works on plain
-arrays; ``cs.Q`` is the matrix of both Q and Qstar (``symplectic.duality_maps``).
-A function that takes an algebra element X or a p^{1,0} tensor t
+arrays. A function that takes an algebra element X or a p^{1,0} tensor t
 validates it on entry with ``sp_element`` or ``p_tensor``, which raise
 ``SpMembershipError`` for a non-member, non-finite or misshapen array.
 
 ``bracket_identified`` computes conj(t) s in the second picture, and the
-tests pin it against transporting the raw commutator to the dual space.
+tests pin it against ``transport_to_dual``, which uses no closed form.
 """
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import CurveKernelError, SpMembershipError
-from .symplectic import MATRIX_TOL, ComplexStructure
+from .symplectic import MATRIX_TOL, ComplexStructure, duality_maps
 
 #: Relative tolerance of the H01 checks on transposed matrices (span membership, vanishing).
 _SPAN_TOL = 1e-8
 
 
+@lru_cache(maxsize=16)
+def _form(g: int) -> np.ndarray:
+    """``duality_maps(g)``, built once per g and read-only for the membership checks."""
+    q = duality_maps(g)
+    q.flags.writeable = False
+    return q
+
+
 def sp_residual(cs: ComplexStructure, X: np.ndarray) -> float:
-    qx = cs.Q @ X
+    qx = _form(cs.g) @ X
     return float(np.linalg.norm(qx - qx.T))
 
 
@@ -50,13 +60,13 @@ def sp_element(cs: ComplexStructure, X) -> np.ndarray:
 
 
 def random_sp_element(cs: ComplexStructure, rng: np.random.Generator, real: bool = False) -> np.ndarray:
-    """Random algebra element X = Q^{-1} S with S symmetric."""
+    """Random algebra element X = Q^{-1} S = -Q S with S symmetric."""
     n = 2 * cs.g
     s = rng.standard_normal((n, n))
     if not real:
         s = s + 1j * rng.standard_normal((n, n))
     s = s + s.T
-    return sp_element(cs, np.linalg.solve(cs.Q, s))
+    return sp_element(cs, -_form(cs.g) @ s)
 
 
 def cartan_project(cs: ComplexStructure, X) -> tuple[np.ndarray, np.ndarray]:
@@ -80,8 +90,8 @@ def ad_j_half(cs: ComplexStructure, X: np.ndarray) -> np.ndarray:
 
 
 def _qstar_pairing_matrix(cs: ComplexStructure) -> np.ndarray:
-    """K with K @ t = matrix of Qstar(., t .) restricted to H10."""
-    return cs.H10.T @ cs.Q @ cs.H01
+    """K with K @ t = matrix of Qstar(., t .) restricted to H10: H10^T Q H01 = conj(Z) - Z^T."""
+    return cs.Z.conj() - cs.Z.T
 
 
 def p_tensor(cs: ComplexStructure, t) -> np.ndarray:
@@ -105,25 +115,19 @@ def random_p_tensor(cs: ComplexStructure, rng: np.random.Generator) -> np.ndarra
 
 
 def embed_p10(cs: ComplexStructure, t) -> np.ndarray:
-    """Endomorphism of V_C with transpose acting as t on H10.
-
-    The result vanishes on the +i eigenspace and has image inside it; its
-    transpose sends the H10 basis to H01 @ t.
-    """
+    """Endomorphism Vm10 S H01^T of V_C: it vanishes on the +i eigenspace, has image
+    inside it, and as Vm10^T H10 = 2iY, S = Y^-1 t^T / 2i makes its transpose send H10 to H01 t."""
     t = p_tensor(cs, t)
-    g = cs.g
-    basis = np.hstack([cs.Vm10, cs.V0m1])
-    extract = np.linalg.inv(basis)[g:, :]  # coordinates along V0m1
-    s = np.linalg.solve(cs.H10.T @ cs.Vm10, t.T @ (cs.H01.T @ cs.V0m1))
-    return cs.Vm10 @ s @ extract
+    s = np.linalg.solve(cs.Z.imag, t.T) / 2j
+    return cs.Vm10 @ s @ cs.H01.T
 
 
 def extract_p10(cs: ComplexStructure, X: np.ndarray) -> np.ndarray:
-    """Inverse of ``embed_p10``: read t off the transpose action on H10."""
+    """Inverse of ``embed_p10``: t is the top block of X^T H10, as H01 = (I; conj(Z))."""
     if not np.isfinite(X).all():
         raise SpMembershipError("matrix has non-finite entries")
     target = X.T @ cs.H10
-    t, *_ = np.linalg.lstsq(cs.H01, target, rcond=None)
+    t = target[: cs.g]
     if np.linalg.norm(cs.H01 @ t - target) > _SPAN_TOL * max(1.0, np.linalg.norm(target)):
         raise SpMembershipError("transpose does not map H10 into the span of H01")
     return p_tensor(cs, t)
@@ -154,7 +158,7 @@ def transport_to_dual(cs: ComplexStructure, X) -> np.ndarray:
         raise SpMembershipError("matrix has non-finite entries")
     xt = mat.T
     if sp_residual(cs, mat) <= MATRIX_TOL:
-        qstar_xt = cs.Q @ xt
+        qstar_xt = _form(cs.g) @ xt
         if np.linalg.norm(qstar_xt - qstar_xt.T) > MATRIX_TOL:
             raise CurveKernelError("transported form lost its symmetry (internal inconsistency)")
     scale = max(1.0, np.linalg.norm(mat))

@@ -1,10 +1,13 @@
 """Real and complex symplectic linear algebra.
 
-A point of Siegel space is a real matrix J on the standard symplectic space
-(R^2g, Q) with J^2 = -I, J^T Q J = Q and Q(., J.) positive definite. This
-module builds such structures (from a matrix or from a period matrix),
-extracts the +/-i eigenspace bases and their annihilators, and provides
-the one symplectic form of the package and its dual pairing.
+A point of Siegel space is a period matrix Z = X + iY, symmetric with Y
+positive definite; ``siegel_residuals`` is the package's one domain check,
+used by the Riemann certificate of ``periods`` and by
+``complex_structure_from_period_matrix`` against the one ``TOL_RIEMANN``.
+Z is the coordinate of a complex structure J on (R^2g, Q) with J^2 = -I,
+J^T Q J = Q and Q(., J.) positive definite; a ``ComplexStructure`` stores
+both, in closed form from each other: J = [[-X Y^-1, -(Y + X Y^-1 X)],
+[Y^-1, Y^-1 X]], and Z = c^-1 (d + iI) for J = [[a, b], [c, d]].
 
 Coordinate conventions, fixed once for the whole package:
 
@@ -12,13 +15,12 @@ Coordinate conventions, fixed once for the whole package:
   identity, so Q(a_i, b_j) = delta_ij for the basis {a_1..a_g, b_1..b_g}.
 * A cohomology class has coordinates (a-periods | b-periods) in the dual
   basis {a*, b*}, paired by ``qstar_pairing``: Qstar(a*_i, b*_j) = delta_ij.
-* The +i eigenspace of J is stored as ``Vm10`` and its conjugate as
-  ``V0m1``; the annihilator bases satisfy H10^T V0m1 = 0 and
-  H01 = conj(H10).
+* V0m1 = (-Z; I) spans the -i eigenspace of J and Vm10 = conj(V0m1) the +i
+  one; H10 = (I; Z^T) annihilates V0m1, and H01 = conj(H10).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,6 +34,8 @@ from .errors import (
 
 #: Single absolute tolerance for matrix-identity checks (Frobenius norm).
 MATRIX_TOL = 1e-10
+#: Frobenius-norm tolerance on Z - Z^T in Siegel space (the Riemann certificate).
+TOL_RIEMANN = 1e-8
 
 
 def duality_maps(g: int) -> np.ndarray:
@@ -49,30 +53,43 @@ def duality_maps(g: int) -> np.ndarray:
     return q
 
 
+def siegel_residuals(Z: np.ndarray) -> tuple[float, float]:
+    """(||Z - Z^T||, min eig of (Z - Z^H)/2i); in Siegel space: <= TOL_RIEMANN, > 0."""
+    residual = float(np.linalg.norm(Z - Z.T))
+    min_eig = float(np.linalg.eigvalsh((Z - Z.conj().T) / 2j).min())
+    return residual, min_eig
+
+
 @dataclass(frozen=True, eq=False)
 class ComplexStructure:
-    """A compatible complex structure J with its eigenspace/annihilator bases.
+    """A compatible complex structure J and its period matrix Z.
 
-    ``Q`` is the symplectic form J preserves. ``Vm10``/``V0m1`` are 2g x g
-    matrices whose columns span the +i / -i eigenspaces of J on the
-    complexification; ``H10``/``H01`` span their annihilators in the dual
-    space (H10 annihilates V0m1).
+    The 2g x g bases ``Vm10``/``V0m1`` (+i / -i eigenspaces of J) and
+    ``H10``/``H01`` (their annihilators) are read off Z once, on construction.
     """
 
-    Q: np.ndarray
+    Z: np.ndarray
     J: np.ndarray
-    Vm10: np.ndarray
-    V0m1: np.ndarray
-    H10: np.ndarray
-    H01: np.ndarray
+    Vm10: np.ndarray = field(init=False, repr=False)
+    V0m1: np.ndarray = field(init=False, repr=False)
+    H10: np.ndarray = field(init=False, repr=False)
+    H01: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        eye = np.eye(self.g)
+        v0m1 = np.vstack([-self.Z, eye])
+        h10 = np.vstack([eye, self.Z.T]).astype(complex)
+        # frozen: the derived fields go straight into the instance dict
+        self.__dict__.update(Vm10=v0m1.conj(), V0m1=v0m1, H10=h10, H01=h10.conj())
 
     @property
     def g(self) -> int:
-        return self.J.shape[0] // 2
+        return len(self.Z)
 
 
-def _check_compatible(Q: np.ndarray, J: np.ndarray) -> None:
-    n = Q.shape[0]
+def _check_compatible(J: np.ndarray) -> None:
+    n = J.shape[0]
+    Q = duality_maps(n // 2)
     if not np.isfinite(J).all():
         raise SquareInvariantError("J has non-finite entries")
     if np.linalg.norm(J @ J + np.eye(n)) > MATRIX_TOL:
@@ -86,61 +103,43 @@ def _check_compatible(Q: np.ndarray, J: np.ndarray) -> None:
 
 
 def complex_structure_from_matrix(J: np.ndarray) -> ComplexStructure:
-    """Validate a 2g x 2g matrix J against the standard form and compute its eigenspace data.
+    """Validate a 2g x 2g matrix J against the standard form and read Z = c^-1 (d + iI) off it.
 
-    Eigenspaces come from the exact spectral projections (I -/+ iJ)/2
-    applied to the standard basis, followed by an SVD rank reduction; the
-    eigenvalues +/-i are known so no general eigensolver is involved.
-    V0m1 is Lagrangian, so H10 = Q V0m1 annihilates it.
+    The block c of J = [[a, b], [c, d]] is the positive definite upper-left block of Q J.
     """
     J = np.asarray(J, dtype=float)
     if J.ndim != 2 or J.shape[0] != J.shape[1] or J.shape[0] % 2:
         raise DimensionMismatchError(f"J must be 2g x 2g, got {J.shape}")
+    _check_compatible(J)
     g = J.shape[0] // 2
-    Q = duality_maps(g)
-    _check_compatible(Q, J)
-    proj_plus = (np.eye(2 * g) - 1j * J) / 2
-    u, _, _ = np.linalg.svd(proj_plus)
-    vm10 = u[:, :g]
-    v0m1 = vm10.conj()
-    h10 = Q @ v0m1
-    return ComplexStructure(Q=Q, J=J, Vm10=vm10, V0m1=v0m1, H10=h10, H01=h10.conj())
+    Z = np.linalg.solve(J[g:, :g], J[g:, g:] + 1j * np.eye(g))
+    return ComplexStructure(Z=(Z + Z.T) / 2, J=J)
 
 
 def complex_structure_from_period_matrix(Z: np.ndarray) -> ComplexStructure:
-    """Complex structure on the standard space determined by a period matrix.
+    """Complex structure of a period matrix Z that passes ``siegel_residuals``.
 
-    The holomorphic annihilator H10 is spanned by the rows of (I | Z) in the
-    dual coordinates (a* | b*); the -i eigenspace is its kernel, spanned by
-    the columns of [-Z; I].
+    It is built from the symmetric part X + iY of Z, with J in closed form.
     """
     Z = np.asarray(Z, dtype=complex)
-    if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
-        raise DimensionMismatchError(f"period matrix must be square, got {Z.shape}")
+    if Z.ndim != 2 or Z.shape[0] != Z.shape[1] or not len(Z):
+        raise DimensionMismatchError(f"period matrix must be square and non-empty, got {Z.shape}")
     if not np.isfinite(Z).all():
         raise SiegelDomainError("period matrix has non-finite entries")
-    g = Z.shape[0]
-    Q = duality_maps(g)  # rejects g = 0 before eigvalsh meets an empty matrix
-    if np.linalg.norm(Z - Z.T) > MATRIX_TOL:
-        raise SiegelDomainError("period matrix is not symmetric")
-    im_eigmin = np.linalg.eigvalsh(Z.imag).min()
-    if im_eigmin <= 0:
+    residual, min_eig = siegel_residuals(Z)
+    if residual > TOL_RIEMANN or min_eig <= 0:
         raise SiegelDomainError(
-            f"imaginary part of the period matrix is not positive definite (min eig {im_eigmin:.3e})"
+            f"Z outside Siegel space (||Z - Z^T|| = {residual:.3e}, min eig Im Z = {min_eig:.3e})"
         )
-    eye = np.eye(g)
-    v0m1 = np.vstack([-Z, eye])
-    vm10 = v0m1.conj()
-    h10 = np.vstack([eye, Z.T]).astype(complex)
-    h01 = h10.conj()
-    basis = np.hstack([vm10, v0m1])
-    d = np.concatenate([np.full(g, 1j), np.full(g, -1j)])
-    J = basis @ np.diag(d) @ np.linalg.inv(basis)
-    if np.linalg.norm(J.imag) > MATRIX_TOL:
-        raise SiegelDomainError("derived J is not real; period matrix outside Siegel domain")
-    J = J.real
-    _check_compatible(Q, J)
-    return ComplexStructure(Q=Q, J=J, Vm10=vm10, V0m1=v0m1, H10=h10, H01=h01)
+    g = len(Z)
+    Z = (Z + Z.T) / 2
+    X, Y = Z.real, Z.imag
+    y_inv = np.linalg.inv(Y)
+    w = y_inv @ X  # its transpose is X Y^-1
+    J = np.empty((2 * g, 2 * g))
+    J[:g, :g], J[:g, g:], J[g:, :g], J[g:, g:] = -w.T, -(Y + X @ w), y_inv, w
+    _check_compatible(J)
+    return ComplexStructure(Z=Z, J=J)
 
 
 def qstar_pairing(alpha, beta):

@@ -63,8 +63,9 @@ class TestPeriodsCommand:
         assert "RootConfigurationError" in err
 
     def test_low_quad_order_rejected(self, capsys):
-        code, _, _ = run_cli(capsys, "periods", "--curve", G1_SPEC, "--quad-order", "4")
+        code, _, err = run_cli(capsys, "periods", "--curve", G1_SPEC, "--quad-order", "4")
         assert code == 2
+        assert "quad_order" in err
 
     @pytest.mark.parametrize(
         "spec",

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from curvekernel import periods
+from curvekernel import siegel as sg
 from curvekernel import symplectic as sy
 from conftest import random_siegel_point
 from curvekernel.errors import (
     DimensionMismatchError,
     PositivityError,
+    RiemannRelationError,
     SiegelDomainError,
     SquareInvariantError,
     SymplecticInvariantError,
@@ -63,6 +66,19 @@ class TestComplexStructureFromMatrix:
         with pytest.raises(DimensionMismatchError):
             sy.complex_structure_from_matrix(np.zeros(shape))
 
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_period_matrix_round_trip(self, g):
+        # one eigenbasis convention: J alone gives back Z and the bases read off it
+        rng = np.random.default_rng(30 + g)
+        for _ in range(10):
+            z = random_siegel_point(g, rng)
+            cs = sy.complex_structure_from_period_matrix(z)
+            back = sy.complex_structure_from_matrix(cs.J)
+            assert np.array_equal(back.J, cs.J)
+            assert np.linalg.norm(back.Z - z) <= 1e-12 * np.linalg.norm(z)
+            assert np.linalg.norm(back.Vm10 - cs.Vm10) <= 1e-12 * np.linalg.norm(cs.Vm10)
+            assert np.linalg.norm(back.H10 - cs.H10) <= 1e-12 * np.linalg.norm(cs.H10)
+
     def test_annihilator_identity(self):
         rng = np.random.default_rng(3)
         cs = sy.complex_structure_from_period_matrix(random_siegel_point(3, rng))
@@ -102,7 +118,7 @@ class TestComplexStructureFromPeriodMatrix:
             cs = sy.complex_structure_from_period_matrix(random_siegel_point(g, rng))
             n = 2 * g
             assert np.linalg.norm(cs.J @ cs.J + np.eye(n)) <= 1e-10
-            q = cs.Q
+            q = sy.duality_maps(g)
             assert np.linalg.norm(cs.J.T @ q @ cs.J - q) <= 1e-10
             gj = q @ cs.J
             assert np.linalg.eigvalsh((gj + gj.T) / 2).min() > 0
@@ -115,6 +131,41 @@ class TestComplexStructureFromPeriodMatrix:
         rng = np.random.default_rng(20 + g)
         cs = sy.complex_structure_from_period_matrix(random_siegel_point(g, rng))
         assert np.linalg.norm(sy.duality_maps(g) @ cs.V0m1 - cs.H10) <= 1e-10
+
+
+class TestCertifiedPeriodsAreSiegelPoints:
+    """A period matrix that passes the Riemann certificate builds a complex structure."""
+
+    @pytest.mark.parametrize(
+        "roots, order",
+        [((0.0, 1.0, 1.001, 2.0, 3.0), 128), ((0.0, 1.0, 1.0001, 2.0, 3.0), 256)],
+        ids=["gap-1e-3", "gap-1e-4"],
+    )
+    def test_close_roots(self, roots, order):
+        curve = periods.build_curve(np.polynomial.polynomial.polyfromroots(roots))
+        pd = periods.compute_periods(curve, quad_order=order)
+        assert pd.riemann_residual > sy.MATRIX_TOL  # above the J-identity tolerance
+        cs = sy.complex_structure_from_period_matrix(pd.Z)
+        q = sy.duality_maps(cs.g)
+        assert np.linalg.norm(cs.J @ cs.J + np.eye(2 * cs.g)) <= 1e-12
+        assert np.linalg.norm(cs.J.T @ q @ cs.J - q) <= 1e-12
+        assert np.linalg.norm(cs.J @ cs.Vm10 - 1j * cs.Vm10) <= 1e-12 * np.linalg.norm(cs.Vm10)
+        rng = np.random.default_rng(40)
+        s, t = sg.random_p_tensor(cs, rng), sg.random_p_tensor(cs, rng)
+        xs, xt = sg.embed_p10(cs, s), sg.embed_p10(cs, t)
+        raw = xs @ np.conj(xt) - np.conj(xt) @ xs
+        m, *_ = np.linalg.lstsq(cs.H10, raw.T @ cs.H10, rcond=None)
+        expected = sg.bracket_identified(cs, s, t)
+        assert np.linalg.norm(m - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    def test_threshold_is_the_certificate(self):
+        # ||Z - Z^T|| = 2e-8 fails both the certificate and the constructor
+        z = np.array([[1.5j, 0.3 + np.sqrt(2) * 1e-8], [0.3, 1j]])
+        assert sy.siegel_residuals(z)[0] == pytest.approx(2e-8)
+        with pytest.raises(SiegelDomainError):
+            sy.complex_structure_from_period_matrix(z)
+        with pytest.raises(RiemannRelationError):
+            periods._period_data(None, np.eye(2), z, 64)
 
 
 class TestDualityMaps:
