@@ -3,7 +3,8 @@
 Subpackage map:
 
 * ``symplectic``: the standard symplectic form, complex structures, the dual pairing.
-* ``siegel``: Cartan decomposition and the bracket tensor in two pictures.
+* ``siegel``: p^{1,0} tensors and their bracket in the identified picture
+  (its endomorphism-picture oracle is ``tests/siegel_oracle.py``).
 * ``periods``: hyperelliptic curves, tangents, period matrices, Riemann certificate.
 * ``bergman``: Hodge product, reproducing elements, kernel evaluation on a curve.
 * ``torelli``: point-supported cup products and the bracket/kernel identity.

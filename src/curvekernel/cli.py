@@ -17,10 +17,12 @@ import sys
 import numpy as np
 
 from . import bergman, periods, torelli, torus, weierstrass
-from .errors import CurveKernelError
+from .errors import CurveError, CurveKernelError
 
 #: Trials drawn and checked per array call of ``verify theorem-a``; bounds its memory.
 _TRIAL_BLOCK = 4096
+#: Rounds of rejection draws ``_random_tangents`` makes before it gives up on a curve.
+_MAX_DRAW_ROUNDS = 64
 
 
 def _matrix_json(m: np.ndarray):
@@ -184,14 +186,16 @@ def _random_tangents(curve, rng, n) -> periods.TangentVector:
     """n tangents at points with Im x in [0.2, 1.2] and |lam| >= 0.1, drawn by rejection."""
     lo, hi = curve.roots.min() - 1.0, curve.roots.max() + 1.0
     x, lam, sheet = np.empty(0, dtype=complex), np.empty(0, dtype=complex), np.empty(0, dtype=int)
-    while len(x) < n:
+    for _ in range(_MAX_DRAW_ROUNDS):
         m = n - len(x)
         cx = rng.uniform(lo, hi, m) + 1j * rng.uniform(0.2, 1.2, m)
         clam = rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m)
         csheet = np.where(rng.random(m) < 0.5, 1, -1)
-        keep = (np.abs(clam) >= 0.1) & (np.abs(np.sqrt(curve.f(cx))) > periods.BRANCH_EXCLUSION)
+        keep = (np.abs(clam) >= 0.1) & ~periods.near_branch_point(curve, np.sqrt(curve.f(cx)))
         x, lam, sheet = (np.concatenate([a, b[keep]]) for a, b in ((x, cx), (lam, clam), (sheet, csheet)))
-    return periods.tangent(curve, x, sheet, lam)
+        if len(x) == n:
+            return periods.tangent(curve, x, sheet, lam)
+    raise CurveError(f"{_MAX_DRAW_ROUNDS} rounds of draws left {n - len(x)} of {n} tangents near a branch point")
 
 
 def cmd_verify_theorem_b(args) -> int:

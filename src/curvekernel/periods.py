@@ -53,7 +53,7 @@ from .errors import (
 )
 from .symplectic import TOL_RIEMANN, siegel_residuals
 
-#: |y| at or below which a curve point is refused as too close to a branch point.
+#: |y| / sqrt|lead| at or below which a curve point is refused as too close to a branch point.
 BRANCH_EXCLUSION = 1e-6
 #: Roots of f closer than this times max|e_i| make it non-squarefree at working precision.
 _MIN_ROOT_GAP = 1e-8
@@ -104,6 +104,11 @@ def build_curve(f_coeffs) -> HyperellipticCurve:
     return HyperellipticCurve(f_coeffs=tuple(coeffs), roots=roots, g=g)
 
 
+def near_branch_point(curve: HyperellipticCurve, y) -> np.ndarray:
+    """|y| <= BRANCH_EXCLUSION sqrt|lead|, elementwise; y / sqrt|lead| does not change under f -> c f."""
+    return np.abs(y) <= BRANCH_EXCLUSION * np.sqrt(abs(curve.leading))
+
+
 @dataclass(frozen=True)
 class TangentVector:
     """lam * d/dz at (x, y), y on the given sheet of sqrt f, z = x - x0 the chart; or a batch."""
@@ -135,7 +140,7 @@ def tangent(curve: HyperellipticCurve, x, sheet=1, lam=1.0) -> TangentVector:
         y = sheet * np.sqrt(curve.f(x))
     if not np.isfinite(y).all():
         raise CurveError(f"f(x) overflows at x = {x[~np.isfinite(y)][0]}")
-    near = np.abs(y) <= BRANCH_EXCLUSION
+    near = near_branch_point(curve, y)
     if near.any():
         raise BranchPointProximityError(
             f"|y| = {abs(y[near][0]):.3e} at x = {x[near][0]}: too close to a branch point"

@@ -127,6 +127,12 @@ def theorem_b_check(
       ``alpha_eval`` with one frozen tangent slot, with step 1e-4 s.
 
     With s the shortest generator length, all residuals are times s^2.
+
+    Only the finite-difference residuals can catch a fault in ``wp`` or
+    ``wzeta``. The holomorphic residual is |eta(zp, zq) - eta(zq, zp)| s^2,
+    which is 0.0 by construction because p comes out exactly even; the
+    antiholomorphic one is |c2 - pi/area| |lam_u lam_v| s^2, the content of
+    ``dbar_potential_check``.
     """
     lat = ev.lattice
     scale = lat.scale

@@ -43,6 +43,8 @@ from .lattice_sums import tail_sums
 CERTIFICATE_TOL = 1e-11
 #: Points closer than this many lattice scales to a lattice point are rejected as poles.
 POLE_EXCLUSION = 1e-8
+#: Supported generator lengths and scale s: within it s^6, s^-6 and the area are normal floats.
+LENGTH_RANGE = (1e-50, 1e50)
 
 _INCREMENT_OFFSETS = (0.137 + 0.071j, -0.083 + 0.191j, 0.211 - 0.057j)
 #: A doubling that divides the miss by less than this has reached the rounding floor.
@@ -58,7 +60,7 @@ def _reduce_pair(w1: complex, w2: complex) -> tuple[complex, complex, np.ndarray
         if abs(b) < abs(a):
             a, b = b, a
             t = t[:, ::-1]
-        mu = round((b * a.conjugate()).real / abs(a) ** 2)
+        mu = round((b / a).real)
         if mu == 0:
             break
         b = b - mu * a
@@ -67,6 +69,12 @@ def _reduce_pair(w1: complex, w2: complex) -> tuple[complex, complex, np.ndarray
         b = -b
         t[:, 1] = -t[:, 1]
     return a, b, t
+
+
+def _check_length(name: str, length: float) -> None:
+    lo, hi = LENGTH_RANGE
+    if not lo <= length <= hi:
+        raise LatticeError(f"{name} = {length:.3e} is outside the supported range [{lo:g}, {hi:g}]")
 
 
 def _grid(r1: complex, r2: complex, n: int) -> np.ndarray:
@@ -133,6 +141,7 @@ def build_lattice(omega1, omega2, truncation: int = 64, max_truncation: int = 51
     The truncation doubles from the requested value until the certificate
     of steps 3-4 in the module docstring holds; ``TruncationError`` is raised
     past ``max_truncation`` or when a doubling cuts the miss by less than 4x.
+    Generator lengths or a scale s outside ``LENGTH_RANGE`` raise ``LatticeError``.
     """
     w1, w2 = complex(omega1), complex(omega2)
     if not np.isfinite([w1, w2]).all():
@@ -141,9 +150,12 @@ def build_lattice(omega1, omega2, truncation: int = 64, max_truncation: int = 51
         raise LatticeError("generators are degenerate: omega2/omega1 must be off the real axis")
     if (w2 / w1).imag < 0:
         raise LatticeError("orientation: require Im(omega2/omega1) > 0")
+    for name, w in (("|omega1|", w1), ("|omega2|", w2)):
+        _check_length(name, abs(w))
     r1, r2, tmat = _reduce_pair(w1, w2)
     # certify on the unit-scale copy (r1, r2) / s; eta scales back by 1/s, G4 by s^-4, G6 by s^-6
     s = min(abs(r1), abs(r2))
+    _check_length("lattice scale s", s)
     u1, u2 = r1 / s, r2 / s
     e2, e4, e6 = _eisenstein(u2 / u1)
     h = np.pi / u1

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from conftest import random_curve_tangent, random_siegel_point
 
+import siegel_oracle as oracle
 from curvekernel import bergman, periods, siegel, symplectic, torelli, torus, weierstrass
 from test_periods import oracle_periods
 
@@ -93,6 +94,7 @@ def test_criterion_3_kernel_presentations(g1_ctx, g2_ctx):
 def test_criterion_4_siegel_algebra_suite():
     start = time.perf_counter()
     worst_recombine = 0.0
+    worst_in_sp = 0.0
     worst_commute = 0.0
     worst_pp_in_k = 0.0
     worst_type11 = 0.0
@@ -102,34 +104,37 @@ def test_criterion_4_siegel_algebra_suite():
         cs = symplectic.complex_structure_from_period_matrix(random_siegel_point(g, rng))
         j = cs.J
         for _ in range(100):
-            x = siegel.random_sp_element(cs, rng)
-            k_part, p_part = siegel.cartan_project(cs, x)
+            x = oracle.random_sp_element(cs, rng)
+            k_part, p_part = oracle.cartan_project(cs, x)
             worst_recombine = max(worst_recombine, float(np.linalg.norm(k_part + p_part - x)))
+            worst_in_sp = max(worst_in_sp, oracle.sp_residual(cs, k_part), oracle.sp_residual(cs, p_part))
             worst_commute = max(
                 worst_commute,
                 float(np.linalg.norm(k_part @ j - j @ k_part)),
                 float(np.linalg.norm(p_part @ j + j @ p_part)),
             )
-            xr = siegel.cartan_project(cs, siegel.random_sp_element(cs, rng, real=True))[1]
-            yr = siegel.cartan_project(cs, siegel.random_sp_element(cs, rng, real=True))[1]
-            br = siegel.bracket_raw(cs, xr, yr)
+            xr = oracle.cartan_project(cs, oracle.random_sp_element(cs, rng, real=True))[1]
+            yr = oracle.cartan_project(cs, oracle.random_sp_element(cs, rng, real=True))[1]
+            br = oracle.bracket_raw(cs, xr, yr)
             worst_pp_in_k = max(worst_pp_in_k, float(np.linalg.norm(br @ j - j @ br)))
-            s = siegel.random_p_tensor(cs, rng)
-            t = siegel.random_p_tensor(cs, rng)
-            worst_type11 = max(worst_type11, siegel.type11_vanishing_check(cs, s, t))
-            xs, xt = siegel.embed_p10(cs, s), siegel.embed_p10(cs, t)
+            worst_in_sp = max(worst_in_sp, oracle.sp_residual(cs, br))
+            s = oracle.random_p_tensor(cs, rng)
+            t = oracle.random_p_tensor(cs, rng)
+            worst_type11 = max(worst_type11, oracle.type11_vanishing_check(cs, s, t))
+            xs, xt = oracle.embed_p10(cs, s), oracle.embed_p10(cs, t)
             raw = xs @ np.conj(xt) - np.conj(xt) @ xs
             m, *_ = np.linalg.lstsq(cs.H10, raw.T @ cs.H10, rcond=None)
             worst_two_path = max(
                 worst_two_path, float(np.linalg.norm(m - siegel.bracket_identified(cs, s, t)))
             )
     elapsed = time.perf_counter() - start
-    worst = max(worst_recombine, worst_commute, worst_pp_in_k, worst_type11, worst_two_path)
+    worst = max(worst_recombine, worst_in_sp, worst_commute, worst_pp_in_k, worst_type11, worst_two_path)
     ok = worst <= 1e-10 and elapsed < 5.0
     _report(
         4,
         ok,
-        f"recombine = {worst_recombine:.2e}, cartan identities = {worst_commute:.2e}, "
+        f"recombine = {worst_recombine:.2e}, parts and brackets in sp = {worst_in_sp:.2e}, "
+        f"cartan identities = {worst_commute:.2e}, "
         f"[p,p] in k = {worst_pp_in_k:.2e}, type-(1,1) = {worst_type11:.2e}, "
         f"two-path bracket = {worst_two_path:.2e} (tol 1e-10, g in 1..3, 100 trials each), "
         f"runtime = {elapsed:.2f}s",

@@ -9,10 +9,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curvekernel import bergman, cli, torelli
+from curvekernel import bergman, cli, periods, torelli
 
 G1_SPEC = '{"type": "hyperelliptic", "f_coeffs": [0, -1, 0, 1]}'
 G2_SPEC = '{"type": "hyperelliptic", "f_coeffs": [0, 24, -50, 35, -10, 1]}'
+
+
+def scaled_g1_spec(c):
+    """The G1 curve with f multiplied by c: Z, the kernel and theorem A do not change."""
+    return json.dumps({"type": "hyperelliptic", "f_coeffs": [0, -c, 0, c]})
+
+
+def max_relative_gap(values, reference):
+    return np.abs(np.asarray(values) - reference).max() / np.abs(reference).max()
 
 
 def run_cli(capsys, *argv):
@@ -173,6 +182,18 @@ class TestBergmanEvalCommand:
         scale = max(abs(complex(*val)) for val in report["results"].values())
         assert report["residuals"]["presentation_spread"] <= 1e-10 * scale
 
+    @pytest.mark.parametrize("c", [1e-20, 1e20])
+    def test_f_times_constant_gives_the_same_kernel(self, capsys, c):
+        # the branch-point exclusion is measured in units of sqrt|lead|, so x = 2 stays usable
+        argv = ["--u", "2.0,0.0,1,1.0,0.0", "--v", "0.5,0.7,-1,0.3,-0.2"]
+        code, out, _ = run_cli(capsys, "bergman-eval", "--curve", scaled_g1_spec(c), *argv)
+        assert code == 0
+        _, ref, _ = run_cli(capsys, "bergman-eval", "--curve", G1_SPEC, *argv)
+        values, ref_values = (
+            [complex(*val) for _, val in sorted(json.loads(text)["results"].items())] for text in (out, ref)
+        )
+        assert max_relative_gap(values, ref_values) <= 1e-12
+
     # the kernel values overflow on purpose; no RuntimeWarning, one JSON error naming it
     def test_non_finite_report_is_input_error(self, capsys):
         code, out, err = run_cli(
@@ -203,6 +224,29 @@ class TestVerifyCommands:
         assert report["pass"] is True
         assert report["residuals"]["max_residual"] <= 1e-8
         assert report["residuals"]["max_pairing_residual"] <= 1e-9
+
+    @pytest.mark.parametrize("c", [1e-20, 1e20])
+    def test_theorem_a_under_f_times_constant(self, capsys, c):
+        # the sampler rejects the same draws for c f as for f, so both sides match the c = 1 run
+        sides = []
+        for coeffs in ([0.0, -1.0, 0.0, 1.0], [0.0, -c, 0.0, c]):
+            pd = periods.compute_periods(periods.build_curve(coeffs))
+            rng = np.random.default_rng(3)
+            u, v = (cli._random_tangents(pd.curve, rng, 50) for _ in range(2))
+            omega, omega_prime = rng.standard_normal((2, 50, 1)) + 1j * rng.standard_normal((2, 50, 1))
+            sides.append(torelli.theorem_a_check(bergman.context_from_periods(pd), omega, omega_prime, u, v))
+        for scaled, ref in zip(sides[1], sides[0]):
+            assert max_relative_gap(scaled, ref) <= 1e-12
+        code, out, _ = run_cli(capsys, "verify", "theorem-a", "--curve", scaled_g1_spec(c), "--trials", "100")
+        assert code == 0
+        assert json.loads(out)["pass"] is True
+
+    def test_tangent_draws_are_capped(self, capsys, monkeypatch):
+        monkeypatch.setattr(periods, "BRANCH_EXCLUSION", 1e300)
+        code, out, err = run_cli(capsys, "verify", "theorem-a", "--curve", G1_SPEC, "--trials", "5")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"].startswith("CurveError:")
 
     def test_theorem_a_unreachable_tolerance_fails(self, capsys):
         code, out, _ = run_cli(
@@ -276,6 +320,18 @@ class TestVerifyCommands:
         assert tiny["residuals"]["max_residual_fd"] == pytest.approx(
             ref["residuals"]["max_residual_fd"], rel=1e-5
         )
+
+    @pytest.mark.parametrize(
+        "lattice", ["1e52,0,0.3e52,1.1e52", "1e300,0,0,1e300", "1e-300,0,0,1e-300", "1e-52,0,0.3e-52,1.1e-52"]
+    )
+    def test_theorem_b_lattice_out_of_range_is_input_error(self, capsys, lattice):
+        code, out, err = run_cli(capsys, "verify", "theorem-b", "--lattice", lattice, "--samples", "5")
+        assert code == 2
+        assert out == ""
+        (line,) = err.splitlines()
+        message = json.loads(line)["error"]
+        assert message.startswith("LatticeError:")
+        assert "supported range [1e-50, 1e+50]" in message
 
     def test_theorem_b_uncertified_lattice_is_error(self, capsys):
         # (1, 40i): cancellation keeps the zeta increments 6e-11 off the quasi-periods

@@ -8,6 +8,7 @@ from curvekernel import periods
 from curvekernel import siegel as sg
 from curvekernel import symplectic as sy
 from conftest import random_siegel_point
+from siegel_oracle import embed_p10, random_p_tensor
 from curvekernel.errors import (
     DimensionMismatchError,
     PositivityError,
@@ -151,8 +152,8 @@ class TestCertifiedPeriodsAreSiegelPoints:
         assert np.linalg.norm(cs.J.T @ q @ cs.J - q) <= 1e-12
         assert np.linalg.norm(cs.J @ cs.Vm10 - 1j * cs.Vm10) <= 1e-12 * np.linalg.norm(cs.Vm10)
         rng = np.random.default_rng(40)
-        s, t = sg.random_p_tensor(cs, rng), sg.random_p_tensor(cs, rng)
-        xs, xt = sg.embed_p10(cs, s), sg.embed_p10(cs, t)
+        s, t = random_p_tensor(cs, rng), random_p_tensor(cs, rng)
+        xs, xt = embed_p10(cs, s), embed_p10(cs, t)
         raw = xs @ np.conj(xt) - np.conj(xt) @ xs
         m, *_ = np.linalg.lstsq(cs.H10, raw.T @ cs.H10, rcond=None)
         expected = sg.bracket_identified(cs, s, t)

@@ -104,6 +104,23 @@ class TestBuildLattice:
         with pytest.raises(LatticeError, match="finite"):
             ws.build_lattice(w1, w2)
 
+    @pytest.mark.parametrize(
+        "w1,w2,name",
+        [
+            (1e52, 0.3e52 + 1.1e52j, "omega1"),
+            (1e300, 1e300j, "omega1"),
+            (1e-300, 1e-300j, "omega1"),
+            (1e-52, 0.3e-52 + 1.1e-52j, "omega1"),
+            (1.0, 1e51j, "omega2"),
+            # both generators in range, but w2 - 3 w1 = 1e-56i is the shortest vector
+            (1e-45, 3e-45 + 1e-56j, "scale s"),
+        ],
+        ids=["1e52", "1e300", "1e-300", "1e-52", "long-omega2", "short-s"],
+    )
+    def test_lengths_outside_supported_range_rejected(self, w1, w2, name):
+        with pytest.raises(LatticeError, match=f"{name}.* outside the supported range"):
+            ws.build_lattice(w1, w2)
+
     def test_truncation_cap(self):
         with pytest.raises(TruncationError):
             ws.build_lattice(1.0, 1j, truncation=8, max_truncation=8)
