@@ -83,7 +83,10 @@ class HyperellipticCurve:
 
 
 def build_curve(f_coeffs) -> HyperellipticCurve:
-    coeffs = [float(c) for c in f_coeffs]
+    try:
+        coeffs = [float(c) for c in f_coeffs]
+    except OverflowError as err:
+        raise RootConfigurationError(f"f has non-finite coefficients: {err}") from err
     if not np.isfinite(coeffs).all():
         raise RootConfigurationError("f has non-finite coefficients")
     while coeffs and coeffs[-1] == 0.0:

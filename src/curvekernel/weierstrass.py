@@ -46,6 +46,7 @@ POLE_EXCLUSION = 1e-8
 #: Supported generator lengths and scale s: within it s^6, s^-6 and the area are normal floats.
 LENGTH_RANGE = (1e-50, 1e50)
 
+_FLOAT_MAX = float(np.finfo(float).max)
 _INCREMENT_OFFSETS = (0.137 + 0.071j, -0.083 + 0.191j, 0.211 - 0.057j)
 #: A doubling that divides the miss by less than this has reached the rounding floor.
 _MIN_DOUBLING_GAIN = 4.0
@@ -141,7 +142,8 @@ def build_lattice(omega1, omega2, truncation: int = 64, max_truncation: int = 51
     The truncation doubles from the requested value until the certificate
     of steps 3-4 in the module docstring holds; ``TruncationError`` is raised
     past ``max_truncation`` or when a doubling cuts the miss by less than 4x.
-    Generator lengths or a scale s outside ``LENGTH_RANGE`` raise ``LatticeError``.
+    Generator lengths or a scale s outside ``LENGTH_RANGE`` raise ``LatticeError``,
+    and so does a lattice too thin for the tail sums' powers to stay finite.
     """
     w1, w2 = complex(omega1), complex(omega2)
     if not np.isfinite([w1, w2]).all():
@@ -157,11 +159,19 @@ def build_lattice(omega1, omega2, truncation: int = 64, max_truncation: int = 51
     s = min(abs(r1), abs(r2))
     _check_length("lattice scale s", s)
     u1, u2 = r1 / s, r2 / s
+    n, prev = max(8, int(truncation)), np.inf
+    # in units of s, tail_sums forms 2 z^7 for points |z| < 0.62 reach and w^6 for sites |w| <= n reach
+    reach = abs(u1) + abs(u2)
+    bound = min(_FLOAT_MAX ** (1 / 7), _FLOAT_MAX ** (1 / 6) / max(n, max_truncation))
+    if reach > bound:
+        raise LatticeError(
+            f"lattice too thin: (|r1| + |r2|) / s = {reach:.3e} exceeds {bound:.3e},"
+            " past which the tail sums overflow"
+        )
     e2, e4, e6 = _eisenstein(u2 / u1)
     h = np.pi / u1
     eta_u1 = np.pi * h * e2 / 3
     consts = np.array([eta_u1, (eta_u1 * u2 - 2j * np.pi) / u1, h**4 * e4 / 45, 2 * h**6 * e6 / 945])
-    n, prev = max(8, int(truncation)), np.inf
     while True:
         grid = _grid(u1, u2, n)
         miss = _increment_miss(u1, u2, consts, grid)

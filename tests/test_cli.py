@@ -333,6 +333,14 @@ class TestVerifyCommands:
         assert message.startswith("LatticeError:")
         assert "supported range [1e-50, 1e+50]" in message
 
+    @pytest.mark.parametrize("lattice", ["1,0,0,1e45", "1,0,0,1e49", "1,0,0.5,1e46", "1e-30,0,0,1e19"])
+    def test_theorem_b_too_thin_lattice_is_input_error(self, capsys, lattice):
+        code, out, err = run_cli(capsys, "verify", "theorem-b", "--lattice", lattice, "--samples", "5")
+        assert code == 2
+        assert out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"].startswith("LatticeError: lattice too thin")
+
     def test_theorem_b_uncertified_lattice_is_error(self, capsys):
         # (1, 40i): cancellation keeps the zeta increments 6e-11 off the quasi-periods
         code, out, err = run_cli(capsys, "verify", "theorem-b", "--lattice", "1,0,0,40", "--samples", "5")
@@ -380,7 +388,7 @@ class TestVerifyCommands:
         assert out == ""
         assert "tol must be finite and positive" in err
 
-    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "1" + "0" * 400], ids=["NaN", "Infinity", "int-1e400"])
     def test_non_finite_coefficients_are_input_error(self, capsys, bad):
         spec = f'{{"type": "hyperelliptic", "f_coeffs": [0, -1, {bad}, 1]}}'
         code, _, err = run_cli(capsys, "periods", "--curve", spec)

@@ -74,7 +74,10 @@ class TestBuildCurve:
         with pytest.raises(DegreeError):
             periods.build_curve([1.0, 0.0, 1.0])
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    # 10**400 is a finite int that no float holds
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), -float("inf"), pytest.param(10**400, id="int-1e400")]
+    )
     def test_non_finite_coefficients_rejected(self, bad):
         with pytest.raises(RootConfigurationError, match="non-finite"):
             periods.build_curve([0.0, -1.0, bad, 1.0])

@@ -232,17 +232,18 @@ class TestBatchedTheoremB:
         assert report.max_residual_fd == got[:, 2:].max()
 
     def test_one_wp_and_one_wzeta_call(self, generic_lattice, monkeypatch):
-        calls = {"wp": 0, "wzeta": 0}
-        for name in calls:
+        # p on the N differences, zeta on their 4N stencil points
+        points = {"wp": [], "wzeta": []}
+        for name in points:
 
-            def counting(*args, _name=name, _fn=getattr(torus, name), **kwargs):
-                calls[_name] += 1
-                return _fn(*args, **kwargs)
+            def counting(lat, z, _name=name, _fn=getattr(torus, name)):
+                points[_name].append(np.size(z))
+                return _fn(lat, z)
 
             monkeypatch.setattr(torus, name, counting)
         samples = torus.random_samples(generic_lattice, 50, np.random.default_rng(0))
         torus.theorem_b_check(torus.EtaEvaluator(lattice=generic_lattice), samples)
-        assert calls == {"wp": 1, "wzeta": 1}
+        assert points == {"wp": [50], "wzeta": [200]}
 
     @pytest.mark.parametrize("fixture", LATTICE_FIXTURES + ["quarter_lattice"])
     def test_random_samples_separated(self, fixture, request):
@@ -264,6 +265,29 @@ class TestBatchedTheoremB:
         samples = [(0.3 - 0.1j, 0.4j, 1.0, 1.0), (zp, zp + square_lattice.omega1, 0.5, -0.7j)]
         with pytest.raises(PoleError):
             torus.theorem_b_check(torus.EtaEvaluator(lattice=square_lattice), samples)
+
+
+class TestExactParity:
+    """p is even and zeta and F are odd bit for bit: theorem B reads both slots off one point."""
+
+    @pytest.mark.parametrize("fixture", LATTICE_FIXTURES + ["quarter_lattice"])
+    def test_negated_point_gives_negated_or_equal_value(self, fixture, request):
+        lat = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(6)
+        # 400 cell points off the lattice and the three half periods 16 times each,
+        # every one translated by up to 5 periods along each generator
+        a, b = rng.uniform(-0.5, 0.5, size=(2, 400))
+        a = np.concatenate([a, np.tile([0.5, 0.0, 0.5], 16)])
+        b = np.concatenate([b, np.tile([0.0, 0.5, 0.5], 16)])
+        keep = np.abs(a * lat._r1 + b * lat._r2) >= 0.05 * lat.scale
+        m, k = rng.integers(-5, 6, size=(2, keep.sum()))
+        z = (a[keep] + m) * lat._r1 + (b[keep] + k) * lat._r2
+        assert len(z) >= 400
+        np.testing.assert_array_equal(weierstrass.wp(lat, -z), weierstrass.wp(lat, z))
+        np.testing.assert_array_equal(weierstrass.wzeta(lat, -z), -weierstrass.wzeta(lat, z))
+        np.testing.assert_array_equal(
+            torus.elementary_potential(lat, -z), -torus.elementary_potential(lat, z)
+        )
 
 
 class TestCrossModelConsistency:

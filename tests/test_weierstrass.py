@@ -121,6 +121,29 @@ class TestBuildLattice:
         with pytest.raises(LatticeError, match=f"{name}.* outside the supported range"):
             ws.build_lattice(w1, w2)
 
+    @pytest.mark.parametrize(
+        "w1,w2,max_truncation",
+        [
+            (1.0, 1e45j, 512),
+            (1.0, 1e49j, 512),
+            (1.0, 0.5 + 1e46j, 512),
+            (1e-30, 1e19j, 512),
+            # past 1e51 / n, the sites' w^6 overflows first
+            (1.0, 1e43j, 2**30),
+        ],
+        ids=["1e45", "1e49", "sheared-1e46", "1e-30-by-1e19", "w6"],
+    )
+    def test_too_thin_rejected_before_any_sum(self, monkeypatch, w1, w2, max_truncation):
+        monkeypatch.setattr(ws, "tail_sums", None)  # a sum would raise TypeError
+        with pytest.raises(LatticeError, match="too thin.*past which the tail sums overflow"):
+            ws.build_lattice(w1, w2, max_truncation=max_truncation)
+
+    @pytest.mark.parametrize("w2", [1e44j, 0.5 + 1e44j])
+    def test_thinnest_in_bound_ends_in_truncation_error(self, w2):
+        # RuntimeWarnings fail the suite, so the sums stay finite at 1e44, just inside the bound
+        with pytest.raises(TruncationError, match="miss the quasi-periods"):
+            ws.build_lattice(1.0, w2)
+
     def test_truncation_cap(self):
         with pytest.raises(TruncationError):
             ws.build_lattice(1.0, 1j, truncation=8, max_truncation=8)
