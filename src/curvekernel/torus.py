@@ -165,14 +165,18 @@ def theorem_b_check(
 
 
 def random_samples(lat: LatticeContext, count: int, rng: np.random.Generator) -> np.ndarray:
-    """(count, 4) rows (zp, zq, lam_u, lam_v) away from the diagonal mod the lattice, |lam| >= 0.1."""
+    """(count, 4) rows (zp, zq, lam_u, lam_v) away from the diagonal mod the lattice, |lam| >= 0.1.
+
+    Points are uniform on the cell of the reduced pair r1, r2, the same law on the torus
+    as on any other cell, so a skewed input basis does not inflate zp - zq.
+    """
     rows = np.empty((0, 4), dtype=complex)
     while len(rows) < count:
         m = count - len(rows)
         a, b, c, d = rng.uniform(-0.5, 0.5, size=(4, m))
         lam_u, lam_v = rng.uniform(-1, 1, size=(2, m)) + 1j * rng.uniform(-1, 1, size=(2, m))
-        zp = a * lat.omega1 + b * lat.omega2
-        zq = c * lat.omega1 + d * lat.omega2
+        zp = a * lat._r1 + b * lat._r2
+        zq = c * lat._r1 + d * lat._r2
         diff = zp - zq
         coords = lat._coord @ np.vstack([diff.real, diff.imag])
         frac = coords - np.rint(coords)

@@ -9,8 +9,8 @@ Evaluation strategy:
    which decay like |z/w|^5/|w|^2; the two slowly convergent correction
    constants they leave behind are the weight-4 and weight-6 lattice
    sums G4 = sum' w^-4 and G6 = sum' w^-6. ``_grid`` keeps one site of
-   each pair {w, -w}; with q = z/w a pair sums to 2 z q^6 / (z^2 - w^2)
-   for zeta and q^6 (14 w^2 - 10 z^2) / (z^2 - w^2)^2 for p.
+   each pair {w, -w}, and each call forms only the sum its caller reads:
+   s_zeta for ``wzeta`` and step 4, s_p (``wp=True``) for ``wp``.
 3. Those constants and eta(r1) come from Eisenstein q-series (DLMF 23.8;
    Apostol, *Modular Functions and Dirichlet Series*, Ch. 1) on the reduced
    basis divided by the shortest generator length s, where
@@ -27,8 +27,8 @@ Evaluation strategy:
    On the unit-scale copy the miss is dimensionless, so a rescaled lattice
    stops at the same truncation.
 
-The elementary-potential coefficients c1, c2 solve the single-valuedness
-system c1 w_k + c2 conj(w_k) = eta_k; c2 = pi/area is again emergent.
+The potential coefficients c1, c2 solve c1 r + c2 conj(r) = eta(r) on the
+reduced pair, the best-conditioned basis; c2 = pi/area is again emergent.
 """
 from __future__ import annotations
 
@@ -64,6 +64,8 @@ def _reduce_pair(w1: complex, w2: complex) -> tuple[complex, complex, np.ndarray
         mu = round((b / a).real)
         if mu == 0:
             break
+        if abs(mu) * int(np.abs(t).max()) >= 2**53:  # no digits of the short vector are left
+            raise LatticeError(f"basis too skewed: reducing it subtracts {mu:.2e} times a generator")
         b = b - mu * a
         t[:, 0] += mu * t[:, 1]
     if (b / a).imag < 0:
@@ -132,7 +134,7 @@ def _increment_miss(r1: complex, r2: complex, consts: np.ndarray, grid: np.ndarr
     eta = np.repeat([eta1, eta2, eta1 + eta2], 3)
     z0 = -lam / 2 + np.tile(_INCREMENT_OFFSETS, 3) * (np.abs(lam) / 2)
     z = np.concatenate([z0, z0 + lam])
-    zeta0, zeta1 = np.split(1 / z + tail_sums(z, grid)[0] - g4 * z**3 - g6 * z**5, 2)
+    zeta0, zeta1 = np.split(1 / z + tail_sums(z, grid) - g4 * z**3 - g6 * z**5, 2)
     return float((np.abs(zeta1 - zeta0 - eta) / (np.abs(zeta0) + np.abs(zeta1))).max())
 
 
@@ -186,8 +188,8 @@ def build_lattice(omega1, omega2, truncation: int = 64, max_truncation: int = 51
     eta_r1, eta_r2, g4, g6 = consts / np.array([s, s, s**4, s**6])
     # quasi-periods are additive over the lattice: transport to the input pair
     eta1, eta2 = tmat @ np.array([eta_r1, eta_r2])
-    area = float((np.conj(w1) * w2).imag)
-    c1, c2 = np.linalg.solve(np.array([[w1, np.conj(w1)], [w2, np.conj(w2)]]), np.array([eta1, eta2]))
+    area = float((np.conj(r1) * r2).imag)
+    c1, c2 = np.linalg.solve(np.array([[r1, np.conj(r1)], [r2, np.conj(r2)]]), np.array([eta_r1, eta_r2]))
     coord = np.linalg.inv(np.array([[r1.real, r2.real], [r1.imag, r2.imag]]))
     return LatticeContext(
         omega1=w1,
@@ -210,25 +212,25 @@ def build_lattice(omega1, omega2, truncation: int = 64, max_truncation: int = 51
     )
 
 
-def _cell_eval(lat: LatticeContext, z, formula):
-    """``formula(zr, m, k, s_zeta, s_p)`` for z = zr + m r1 + k r2 with zr in the centered cell.
+def _cell_eval(lat: LatticeContext, z, formula, wp=False):
+    """``formula(zr, m, k, s)`` for z = zr + m r1 + k r2 with zr in the centered cell.
 
-    One ``tail_sums`` call gives s_zeta and s_p. The result is shaped like
-    ``z``; a scalar ``z`` gives a Python complex.
+    ``s`` is the one tail sum at zr: s_zeta, or s_p with ``wp``. The result is
+    shaped like ``z``; a scalar ``z`` gives a Python complex.
     """
     z = np.asarray(z, dtype=complex)
     m, k = np.rint(lat._coord @ np.vstack([z.real.ravel(), z.imag.ravel()])).astype(np.int64)
     zr = z.ravel() - m * lat._r1 - k * lat._r2
     if np.abs(zr).min() < POLE_EXCLUSION * lat.scale:
         raise PoleError("evaluation point coincides with a lattice point")
-    vals = formula(zr, m, k, *tail_sums(zr, lat._grid_pts)).reshape(z.shape)
+    vals = formula(zr, m, k, tail_sums(zr, lat._grid_pts, wp=wp)).reshape(z.shape)
     return complex(vals) if z.ndim == 0 else vals
 
 
 def wzeta(lat: LatticeContext, z):
     """Weierstrass zeta on the lattice, vectorized over z."""
 
-    def zeta(zr, m, k, s_zeta, _):
+    def zeta(zr, m, k, s_zeta):
         g4, g6 = lat.eisenstein4, lat.eisenstein6
         return 1 / zr + s_zeta - g4 * zr**3 - g6 * zr**5 + m * lat._eta_r[0] + k * lat._eta_r[1]
 
@@ -238,7 +240,7 @@ def wzeta(lat: LatticeContext, z):
 def wp(lat: LatticeContext, z):
     """Weierstrass p function on the lattice, vectorized over z."""
 
-    def p(zr, m, k, _, s_p):
+    def p(zr, m, k, s_p):
         return 1 / zr**2 + s_p + 3 * lat.eisenstein4 * zr**2 + 5 * lat.eisenstein6 * zr**4
 
-    return _cell_eval(lat, z, p)
+    return _cell_eval(lat, z, p, wp=True)

@@ -263,14 +263,21 @@ class TestVerifyCommands:
         assert code == 1
         assert json.loads(out)["pass"] is False
 
-    def test_theorem_b_passes(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "verify", "theorem-b", "--lattice", "1,0,0,1", "--samples", "10"
-        )
+    @pytest.mark.parametrize(
+        "lattice",
+        ["1,0,0,1", "1,0,1e8,1", "1,0,1e9,1", "1,0,1e10,1", "1,0,1e15,1"],
+        ids=["square", "skew-1e8", "skew-1e9", "skew-1e10", "skew-1e15"],
+    )
+    def test_theorem_b_passes(self, capsys, lattice):
+        # (1, N + i) is the square lattice in a skewed basis: samples and c1, c2 come
+        # from the reduced pair, so its residuals are the square lattice's
+        code, out, _ = run_cli(capsys, "verify", "theorem-b", "--lattice", lattice, "--samples", "10")
         assert code == 0
         report = json.loads(out)
         assert report["pass"] is True
         assert report["residuals"]["max_residual_dbar"] <= 1e-10
+        _, out, _ = run_cli(capsys, "verify", "theorem-b", "--lattice", "1,0,0,1", "--samples", "10")
+        assert report["residuals"] == json.loads(out)["residuals"]
 
     def test_theorem_b_generic_lattice(self, capsys):
         code, out, _ = run_cli(
@@ -361,8 +368,14 @@ class TestVerifyCommands:
         assert code == 0
         assert calls == {"theorem_a_check": 1, "qstar_against_kv_check": 1}
 
-    def test_bad_lattice_is_input_error(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "theorem-b", "--lattice", "1,0,2,0")
+    @pytest.mark.parametrize(
+        "lattice",
+        # the second basis is so skewed that reducing it subtracts 1e80 times the first generator
+        ["1,0,2,0", "1e-40,0,1e40,1e-40"],
+        ids=["degenerate", "skew-1e80"],
+    )
+    def test_bad_lattice_is_input_error(self, capsys, lattice):
+        code, _, err = run_cli(capsys, "verify", "theorem-b", "--lattice", lattice)
         assert code == 2
         assert "LatticeError" in err
 

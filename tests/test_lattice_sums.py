@@ -24,7 +24,8 @@ def test_tail_sums_match_explicit_series():
     grid = weierstrass._grid(1.0, 0.3 + 1.1j, 8)
     rng = np.random.default_rng(0)
     z = rng.uniform(-0.6, 0.6, size=20) + 1j * rng.uniform(-0.6, 0.6, size=20)
-    sz, sp = lattice_sums.tail_sums(z, grid)
+    sz = lattice_sums.tail_sums(z, grid)
+    sp = lattice_sums.tail_sums(z, grid, wp=True)
     # the kernel sums each pair {w, -w} at once; the reference sums both members
     ref = np.array([_series(zi, np.concatenate([grid, -grid])) for zi in z])
     assert_allclose(sz, ref[:, 0], rtol=0, atol=1e-13)
@@ -34,11 +35,27 @@ def test_tail_sums_match_explicit_series():
 def test_shape_preservation():
     grid = weierstrass._grid(1.0, 0.3 + 1.1j, 8)
     z = np.array([[0.2 + 0.1j, 0.3 - 0.2j]])
-    sz, sp = lattice_sums.tail_sums(z, grid)
-    assert sz.shape == z.shape
-    assert sp.shape == z.shape
-    # a point's sums do not depend on the other points of the call
-    assert (sz[0, 1], sp[0, 1]) == lattice_sums.tail_sums(z[0, 1], grid)
+    for wp in (False, True):
+        s = lattice_sums.tail_sums(z, grid, wp=wp)
+        assert s.shape == z.shape
+        # a point's sum does not depend on the other points of the call
+        assert s[0, 1] == lattice_sums.tail_sums(z[0, 1], grid, wp=wp)
+
+
+def test_each_caller_forms_the_sum_it_reads(monkeypatch):
+    # wzeta and the certificate read s_zeta, wp reads s_p
+    calls = []
+
+    def recording(z, w, wp=False):
+        calls.append(wp)
+        return lattice_sums.tail_sums(z, w, wp=wp)
+
+    monkeypatch.setattr(weierstrass, "tail_sums", recording)
+    lat = weierstrass.build_lattice(1.0, 0.3 + 1.1j)
+    assert calls == [False]
+    weierstrass.wzeta(lat, [0.2 + 0.1j, 0.3 - 0.2j])
+    weierstrass.wp(lat, 0.2 + 0.1j)
+    assert calls == [False, False, True]
 
 
 @pytest.mark.parametrize("r1,r2,n", [(1.0, 0.3 + 1.1j, 8), (1.0, 5j, 16), (0.7 - 0.2j, 0.1 + 1.3j, 5)])
