@@ -1,17 +1,19 @@
 """Command-line entry point: curve ingestion, computations, verification suites.
 
-Report schema (JSON, the canonical format): top-level keys ``command``,
-``inputs``, ``results``, ``residuals``, ``pass``. Matrices are emitted as
-row-major nested arrays of [re, im] pairs. Exit codes: 0 success / all
-residuals within tolerance, 1 verification failure, 2 input error or a
-report holding NaN or Infinity (nothing is printed to stdout then).
+Each command returns only what varies, ``(inputs, results, residuals, ok)``;
+``main`` builds every report from it. Report schema (JSON, the canonical
+format): top-level keys ``command``, ``inputs``, ``results``, ``residuals``,
+``pass``, printed as one line of compact JSON with sorted keys. Matrices are
+row-major nested arrays of [re, im] pairs. ``--format csv`` prints the rows of
+the command's matrix instead. Exit codes: 0 success / all residuals within
+tolerance, 1 verification failure, 2 input error or a report holding NaN or
+Infinity (nothing is printed to stdout then).
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
-import math
 import sys
 
 import numpy as np
@@ -25,21 +27,17 @@ _TRIAL_BLOCK = 4096
 _MAX_DRAW_ROUNDS = 64
 
 
-def _matrix_json(m: np.ndarray):
-    m = np.atleast_2d(np.asarray(m, dtype=complex))
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
-
-
-def _complex_json(v: complex):
-    return [float(v.real), float(v.imag)]
+def _pairs(a):
+    """[re, im] pairs of a complex scalar or array, nested as its shape, as Python floats."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
 def _load_curve_spec(spec: str) -> dict:
-    text = spec
-    if not spec.lstrip().startswith("{"):
+    if not spec.lstrip().startswith(("{", "[")):
         with open(spec, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    data = json.loads(text)
+            spec = fh.read()
+    data = json.loads(spec)
     if not isinstance(data, dict):
         raise CurveKernelError(f"curve spec must be a JSON object, got {type(data).__name__}")
     if data.get("type") != "hyperelliptic":
@@ -59,93 +57,65 @@ def _curve_periods(args) -> tuple[dict, periods.PeriodData]:
     return spec, periods.compute_periods(curve, quad_order=args.quad_order)
 
 
-def _parse_lattice(text: str) -> tuple[complex, complex]:
+def _reals(text: str, n: int, error: str) -> list[float]:
+    """The n comma-separated reals of a --lattice, --u or --v value; ``error`` names the layout."""
     parts = [float(p) for p in text.split(",")]
-    if len(parts) != 4:
-        raise CurveKernelError("lattice spec must be four comma-separated reals: w1re,w1im,w2re,w2im")
-    return complex(parts[0], parts[1]), complex(parts[2], parts[3])
+    if len(parts) != n:
+        raise CurveKernelError(error)
+    return parts
 
 
 def _parse_point(text: str) -> tuple[complex, int, complex]:
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 5:
-        raise CurveKernelError("point spec must be five comma-separated reals: xre,xim,sheet,lre,lim")
-    if parts[2] not in (1.0, -1.0):
-        raise CurveKernelError(f"sheet must be 1 or -1, got {parts[2]!r}")
-    return complex(parts[0], parts[1]), int(parts[2]), complex(parts[3], parts[4])
+    xre, xim, sheet, lre, lim = _reals(text, 5, "point spec must be five comma-separated reals: xre,xim,sheet,lre,lim")
+    if sheet not in (1.0, -1.0):
+        raise CurveKernelError(f"sheet must be 1 or -1, got {sheet!r}")
+    return complex(xre, xim), int(sheet), complex(lre, lim)
 
 
-def _emit(report: dict, fmt: str, matrix_key: str = "Z") -> None:
-    if fmt == "json":
-        print(json.dumps(report, sort_keys=True, indent=2, allow_nan=False))
-    else:
-        for row in report["results"][matrix_key]:
-            print(",".join(f"{re!r},{im!r}" for re, im in row))
-
-
-def cmd_periods(args) -> int:
+def cmd_periods(args) -> tuple[dict, dict, dict, bool]:
     spec, pd = _curve_periods(args)
-    report = {
-        "command": "periods",
-        "inputs": {"curve": spec, "quad_order": args.quad_order},
-        "results": {
-            "A": _matrix_json(pd.A),
-            "B": _matrix_json(pd.B),
-            "Z": _matrix_json(pd.Z),
-        },
-        "residuals": {
-            "riemann_residual": pd.riemann_residual,
-            "min_eig_imZ": pd.min_eig_imZ,
-        },
-        "pass": True,
+    inputs = {"curve": spec, "quad_order": args.quad_order}
+    results = {
+        "A": _pairs(pd.A),
+        "B": _pairs(pd.B),
+        "Z": _pairs(pd.Z),
     }
-    _emit(report, args.format)
-    return 0
+    residuals = {
+        "riemann_residual": pd.riemann_residual,
+        "min_eig_imZ": pd.min_eig_imZ,
+    }
+    return inputs, results, residuals, True
 
 
-def cmd_gram(args) -> int:
+def cmd_gram(args) -> tuple[dict, dict, dict, bool]:
     spec, pd = _curve_periods(args)
     ctx = bergman.context_from_periods(pd)
-    identity_residual = float(np.linalg.norm(ctx.gram - 2 * pd.Z.imag))
-    report = {
-        "command": "gram",
-        "inputs": {"curve": spec, "quad_order": args.quad_order},
-        "results": {"Z": _matrix_json(pd.Z), "gram": _matrix_json(ctx.gram)},
-        "residuals": {
-            "riemann_residual": pd.riemann_residual,
-            "gram_vs_2imZ": identity_residual,
-        },
-        "pass": True,
+    inputs = {"curve": spec, "quad_order": args.quad_order}
+    results = {"Z": _pairs(pd.Z), "gram": _pairs(ctx.gram)}
+    residuals = {
+        "riemann_residual": pd.riemann_residual,
+        "gram_vs_2imZ": float(np.linalg.norm(ctx.gram - 2 * pd.Z.imag)),
     }
-    _emit(report, args.format, matrix_key="gram")
-    return 0
+    return inputs, results, residuals, True
 
 
-def cmd_bergman_eval(args) -> int:
+def cmd_bergman_eval(args) -> tuple[dict, dict, dict, bool]:
     spec, pd = _curve_periods(args)
     ctx = bergman.context_from_periods(pd)
-    xu, su, lu = _parse_point(args.u)
-    xv, sv, lv = _parse_point(args.v)
-    u = periods.tangent(pd.curve, xu, su, lu)
-    v = periods.tangent(pd.curve, xv, sv, lv)
+    points = _parse_point(args.u), _parse_point(args.v)
+    u, v = (periods.tangent(pd.curve, *point) for point in points)
     with np.errstate(over="ignore", invalid="ignore"):
         vals = bergman.three_presentation_values(ctx, u, v)
         residual = bergman.presentation_spread(vals)
     if not np.isfinite([*vals.values(), residual]).all():
-        raise ValueError(f"kernel value overflows float64 at |lam_u| = {abs(lu):.3g}, |lam_v| = {abs(lv):.3g}")
+        raise ValueError(f"kernel value overflows float64 at |lam_u| = {abs(u.lam):.3g}, |lam_v| = {abs(v.lam):.3g}")
     scale = max(1.0, max(abs(val) for val in vals.values()))
-    report = {
-        "command": "bergman-eval",
-        "inputs": {"curve": spec, "u": args.u, "v": args.v},
-        "results": {name: _complex_json(val) for name, val in vals.items()},
-        "residuals": {"presentation_spread": residual},
-        "pass": bool(residual <= args.tol * scale),
-    }
-    _emit(report, "json")
-    return 0 if report["pass"] else 1
+    inputs = {"curve": spec, "u": args.u, "v": args.v}
+    results = {name: _pairs(val) for name, val in vals.items()}
+    return inputs, results, {"presentation_spread": residual}, residual <= args.tol * scale
 
 
-def cmd_verify_theorem_a(args) -> int:
+def cmd_verify_theorem_a(args) -> tuple[dict, dict, dict, bool]:
     spec, pd = _curve_periods(args)
     ctx = bergman.context_from_periods(pd)
     rng = np.random.default_rng(args.seed)
@@ -160,26 +130,19 @@ def cmd_verify_theorem_a(args) -> int:
         pairing, claim = torelli.qstar_against_kv_check(ctx, omega_prime, v)
         max_residual = max(max_residual, float(np.abs(lhs - rhs).max()))
         max_pairing_residual = max(max_pairing_residual, float(np.abs(pairing - claim).max()))
-    ok = max_residual <= args.tol
-    report = {
-        "command": "verify",
-        "inputs": {
-            "suite": "theorem-a",
-            "curve": spec,
-            "trials": args.trials,
-            "tol": args.tol,
-            "seed": args.seed,
-            "quad_order": args.quad_order,
-        },
-        "results": {"trials": args.trials},
-        "residuals": {
-            "max_residual": max_residual,
-            "max_pairing_residual": max_pairing_residual,
-        },
-        "pass": bool(ok),
+    inputs = {
+        "suite": "theorem-a",
+        "curve": spec,
+        "trials": args.trials,
+        "tol": args.tol,
+        "seed": args.seed,
+        "quad_order": args.quad_order,
     }
-    _emit(report, "json")
-    return 0 if ok else 1
+    residuals = {
+        "max_residual": max_residual,
+        "max_pairing_residual": max_pairing_residual,
+    }
+    return inputs, {"trials": args.trials}, residuals, max_residual <= args.tol
 
 
 def _random_tangents(curve, rng, n) -> periods.TangentVector:
@@ -191,43 +154,37 @@ def _random_tangents(curve, rng, n) -> periods.TangentVector:
         cx = rng.uniform(lo, hi, m) + 1j * rng.uniform(0.2, 1.2, m)
         clam = rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m)
         csheet = np.where(rng.random(m) < 0.5, 1, -1)
-        keep = (np.abs(clam) >= 0.1) & ~periods.near_branch_point(curve, np.sqrt(curve.f(cx)))
+        keep = (np.abs(clam) >= 0.1) & ~periods.near_branch_point(curve, curve.sqrt_f(cx))
         x, lam, sheet = (np.concatenate([a, b[keep]]) for a, b in ((x, cx), (lam, clam), (sheet, csheet)))
         if len(x) == n:
             return periods.tangent(curve, x, sheet, lam)
     raise CurveError(f"{_MAX_DRAW_ROUNDS} rounds of draws left {n - len(x)} of {n} tangents near a branch point")
 
 
-def cmd_verify_theorem_b(args) -> int:
-    w1, w2 = _parse_lattice(args.lattice)
-    lat = weierstrass.build_lattice(w1, w2)
+def cmd_verify_theorem_b(args) -> tuple[dict, dict, dict, bool]:
+    w = _reals(args.lattice, 4, "lattice spec must be four comma-separated reals: w1re,w1im,w2re,w2im")
+    lat = weierstrass.build_lattice(complex(w[0], w[1]), complex(w[2], w[3]))
     ev = torus.EtaEvaluator(lattice=lat)
     rng = np.random.default_rng(args.seed)
     samples = torus.random_samples(lat, args.samples, rng)
     report_b = torus.theorem_b_check(ev, samples, tol_d=args.tol, tol_dbar=args.tol, tol_fd=1e-5)
     c2, claim = torus.dbar_potential_check(lat)
     dbar_potential = abs(c2 - claim) * lat.scale**2
-    ok = report_b.passed and dbar_potential <= args.tol
-    report = {
-        "command": "verify",
-        "inputs": {
-            "suite": "theorem-b",
-            "lattice": args.lattice,
-            "samples": args.samples,
-            "tol": args.tol,
-            "seed": args.seed,
-        },
-        "results": {"samples": args.samples, "c2": _complex_json(lat.c2)},
-        "residuals": {
-            "max_residual_d": report_b.max_residual_d,
-            "max_residual_dbar": report_b.max_residual_dbar,
-            "max_residual_fd": report_b.max_residual_fd,
-            "dbar_potential": dbar_potential,
-        },
-        "pass": bool(ok),
+    inputs = {
+        "suite": "theorem-b",
+        "lattice": args.lattice,
+        "samples": args.samples,
+        "tol": args.tol,
+        "seed": args.seed,
     }
-    _emit(report, "json")
-    return 0 if ok else 1
+    results = {"samples": args.samples, "c2": _pairs(lat.c2)}
+    residuals = {
+        "max_residual_d": report_b.max_residual_d,
+        "max_residual_dbar": report_b.max_residual_dbar,
+        "max_residual_fd": report_b.max_residual_fd,
+        "dbar_potential": dbar_potential,
+    }
+    return inputs, results, residuals, report_b.passed and dbar_potential <= args.tol
 
 
 @functools.cache
@@ -243,12 +200,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("periods", help="period matrices of a hyperelliptic curve")
     add_curve_options(p)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(fn=cmd_periods)
+    p.set_defaults(fn=cmd_periods, matrix="Z")
 
     p = sub.add_parser("gram", help="Gram matrix of the Hodge product in the normalized basis")
     add_curve_options(p)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(fn=cmd_gram)
+    p.set_defaults(fn=cmd_gram, matrix="gram")
 
     p = sub.add_parser("bergman-eval", help="kernel value at two tangent vectors")
     add_curve_options(p)
@@ -282,14 +239,27 @@ def main(argv=None) -> int:
     if getattr(args, "trials", 1) < 1 or getattr(args, "samples", 1) < 1:
         print(json.dumps({"error": "trials/samples must be >= 1"}), file=sys.stderr)
         return 2
-    if not 0 < getattr(args, "tol", 1.0) < math.inf:
+    if not 0 < getattr(args, "tol", 1.0) < np.inf:
         print(json.dumps({"error": "tol must be finite and positive"}), file=sys.stderr)
         return 2
     try:
-        return args.fn(args)
+        inputs, results, residuals, ok = args.fn(args)
+        if getattr(args, "format", "json") == "csv":
+            for row in results[args.matrix]:
+                print(",".join(f"{re!r},{im!r}" for re, im in row))
+        else:
+            report = {
+                "command": args.command,
+                "inputs": inputs,
+                "results": results,
+                "residuals": residuals,
+                "pass": bool(ok),
+            }
+            print(json.dumps(report, sort_keys=True, allow_nan=False))
     except (CurveKernelError, json.JSONDecodeError, OSError, ValueError) as err:
         print(json.dumps({"error": f"{type(err).__name__}: {err}"}), file=sys.stderr)
         return 2
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -21,8 +21,10 @@ The period kernel makes the same number of numpy calls at every genus. The
 factors |x - e_l| off each segment are one product over the root axis of a
 (d, d-1, order) distance array; the moments x^k / sqrt|f| are one running
 product (``np.multiply.accumulate``) over k, with no ``pow``; and (A | B) is
-the segment table times a fixed 0/2 cycle incidence matrix. f(x) itself is
-lead * prod (x - e_l) over the sorted roots, the factors the kernel uses.
+the segment table times a fixed 0/2 cycle incidence matrix. On tangents,
+y = sqrt f(x) is sqrt|lead| * sqrt(sign(lead) prod (x - e_l)) over the sorted
+roots, the factors the kernel uses; the leading coefficient stays out of the
+product, so a large one cannot overflow it where y itself is finite.
 
 None of this bookkeeping is trusted blindly: every computed period matrix
 must pass the Riemann certificate ``symplectic.siegel_residuals`` (Z symmetric,
@@ -77,9 +79,14 @@ class HyperellipticCurve:
     def leading(self) -> float:
         return self.f_coeffs[-1]
 
-    def f(self, x):
-        """lead * prod_l (x - e_l) over the sorted roots, elementwise in x."""
-        return self.leading * np.prod(np.asarray(x)[..., None] - self.roots, axis=-1)
+    def sqrt_f(self, x):
+        """sqrt|lead| * sqrt(sign(lead) prod_l (x - e_l)) over the sorted roots, elementwise in x.
+
+        This is the principal sqrt f(x), since sqrt|lead| > 0. The leading coefficient
+        stays out of the product, which may not overflow where lead * prod would.
+        """
+        prod = np.prod(np.asarray(x)[..., None] - self.roots, axis=-1)
+        return np.sqrt(abs(self.leading)) * np.sqrt(np.sign(self.leading) * prod)
 
 
 def build_curve(f_coeffs) -> HyperellipticCurve:
@@ -140,7 +147,7 @@ def tangent(curve: HyperellipticCurve, x, sheet=1, lam=1.0) -> TangentVector:
     if bad.any():
         raise DimensionMismatchError(f"sheet must be +1 or -1, got {sheet[bad][0]}")
     with np.errstate(over="ignore", invalid="ignore"):
-        y = sheet * np.sqrt(curve.f(x))
+        y = sheet * curve.sqrt_f(x)
     if not np.isfinite(y).all():
         raise CurveError(f"f(x) overflows at x = {x[~np.isfinite(y)][0]}")
     near = near_branch_point(curve, y)

@@ -13,11 +13,15 @@ from curvekernel import bergman, cli, periods, torelli
 
 G1_SPEC = '{"type": "hyperelliptic", "f_coeffs": [0, -1, 0, 1]}'
 G2_SPEC = '{"type": "hyperelliptic", "f_coeffs": [0, 24, -50, 35, -10, 1]}'
+G1_COEFFS = [0, -1, 0, 1]
+#: f with roots 0..8 (genus 4): times 2^1006 (6.9e302) every coefficient is finite, while f(x) overflows
+#: near the roots; a power of two scales the coefficients exactly, so c f has the roots of f
+G4_COEFFS = [0, 40320, -109584, 118124, -67284, 22449, -4536, 546, -36, 1]
 
 
-def scaled_g1_spec(c):
-    """The G1 curve with f multiplied by c: Z, the kernel and theorem A do not change."""
-    return json.dumps({"type": "hyperelliptic", "f_coeffs": [0, -c, 0, c]})
+def scaled_spec(coeffs, c):
+    """The curve with f multiplied by c: Z, the kernel and theorem A do not change."""
+    return json.dumps({"type": "hyperelliptic", "f_coeffs": [c * a for a in coeffs]})
 
 
 def max_relative_gap(values, reference):
@@ -98,6 +102,13 @@ class TestPeriodsCommand:
         assert code == 2
         assert out == ""
         assert "CurveKernelError" in json.loads(err)["error"]
+
+    def test_inline_list_is_input_error(self, capsys):
+        # inline JSON is any spec opening with "{" or "[", so a list is refused, not opened as a file
+        code, out, err = run_cli(capsys, "periods", "--curve", "[0, -1, 0, 1]")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "CurveKernelError: curve spec must be a JSON object, got list"
 
 
 class TestGramCommand:
@@ -182,13 +193,21 @@ class TestBergmanEvalCommand:
         scale = max(abs(complex(*val)) for val in report["results"].values())
         assert report["residuals"]["presentation_spread"] <= 1e-10 * scale
 
-    @pytest.mark.parametrize("c", [1e-20, 1e20])
-    def test_f_times_constant_gives_the_same_kernel(self, capsys, c):
+    @pytest.mark.parametrize(
+        "coeffs, c, u",
+        [
+            (G1_COEFFS, 1e-20, "2.0,0.0,1,1.0,0.0"),
+            (G1_COEFFS, 1e20, "2.0,0.0,1,1.0,0.0"),
+            (G4_COEFFS, 2.0**1006, "8.9,1.2,1,1,0"),
+        ],
+        ids=["1e-20", "1e+20", "roots-0..8-2^1006"],
+    )
+    def test_f_times_constant_gives_the_same_kernel(self, capsys, coeffs, c, u):
         # the branch-point exclusion is measured in units of sqrt|lead|, so x = 2 stays usable
-        argv = ["--u", "2.0,0.0,1,1.0,0.0", "--v", "0.5,0.7,-1,0.3,-0.2"]
-        code, out, _ = run_cli(capsys, "bergman-eval", "--curve", scaled_g1_spec(c), *argv)
+        argv = ["--u", u, "--v", "0.5,0.7,-1,0.3,-0.2"]
+        code, out, _ = run_cli(capsys, "bergman-eval", "--curve", scaled_spec(coeffs, c), *argv)
         assert code == 0
-        _, ref, _ = run_cli(capsys, "bergman-eval", "--curve", G1_SPEC, *argv)
+        _, ref, _ = run_cli(capsys, "bergman-eval", "--curve", scaled_spec(coeffs, 1), *argv)
         values, ref_values = (
             [complex(*val) for _, val in sorted(json.loads(text)["results"].items())] for text in (out, ref)
         )
@@ -225,19 +244,23 @@ class TestVerifyCommands:
         assert report["residuals"]["max_residual"] <= 1e-8
         assert report["residuals"]["max_pairing_residual"] <= 1e-9
 
-    @pytest.mark.parametrize("c", [1e-20, 1e20])
-    def test_theorem_a_under_f_times_constant(self, capsys, c):
+    @pytest.mark.parametrize(
+        "coeffs, c",
+        [(G1_COEFFS, 1e-20), (G1_COEFFS, 1e20), (G4_COEFFS, 2.0**1006)],
+        ids=["1e-20", "1e+20", "roots-0..8-2^1006"],
+    )
+    def test_theorem_a_under_f_times_constant(self, capsys, coeffs, c):
         # the sampler rejects the same draws for c f as for f, so both sides match the c = 1 run
         sides = []
-        for coeffs in ([0.0, -1.0, 0.0, 1.0], [0.0, -c, 0.0, c]):
-            pd = periods.compute_periods(periods.build_curve(coeffs))
+        for scaled_coeffs in (coeffs, [c * a for a in coeffs]):
+            pd = periods.compute_periods(periods.build_curve(scaled_coeffs))
             rng = np.random.default_rng(3)
             u, v = (cli._random_tangents(pd.curve, rng, 50) for _ in range(2))
-            omega, omega_prime = rng.standard_normal((2, 50, 1)) + 1j * rng.standard_normal((2, 50, 1))
+            omega, omega_prime = rng.standard_normal((2, 50, pd.g)) + 1j * rng.standard_normal((2, 50, pd.g))
             sides.append(torelli.theorem_a_check(bergman.context_from_periods(pd), omega, omega_prime, u, v))
         for scaled, ref in zip(sides[1], sides[0]):
             assert max_relative_gap(scaled, ref) <= 1e-12
-        code, out, _ = run_cli(capsys, "verify", "theorem-a", "--curve", scaled_g1_spec(c), "--trials", "100")
+        code, out, _ = run_cli(capsys, "verify", "theorem-a", "--curve", scaled_spec(coeffs, c), "--trials", "100")
         assert code == 0
         assert json.loads(out)["pass"] is True
 
@@ -440,6 +463,36 @@ class TestDeterminism:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+
+class TestReportEncoding:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["periods", "--curve", G2_SPEC],
+            ["gram", "--curve", G2_SPEC],
+            ["bergman-eval", "--curve", G1_SPEC, "--u", "2.0,0.0,1,1.0,0.0", "--v", "0.5,0.7,-1,0.3,-0.2"],
+            ["verify", "theorem-a", "--curve", G2_SPEC, "--trials", "10"],
+            ["verify", "theorem-b", "--lattice", "1,0,0.3,1.1", "--samples", "5"],
+        ],
+        ids=["periods", "gram", "bergman-eval", "theorem-a", "theorem-b"],
+    )
+    def test_report_is_one_compact_line(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        (line,) = out.splitlines()
+        assert out == json.dumps(json.loads(line), sort_keys=True, allow_nan=False) + "\n"
+
+    @pytest.mark.parametrize(
+        "value",
+        [complex(1.5, -2.0), np.array([[1 + 2j, complex(-0.0, 3.0)], [complex(4.0, -0.0), -5.25 + 1e-300j]]), -0.0],
+        ids=["scalar", "matrix", "negative-zero"],
+    )
+    def test_pairs(self, value):
+        # the per-entry loop the pairs replace is the reference; repr tells -0.0 from 0.0
+        m = np.asarray(value, dtype=complex)
+        ref = [[[float(v.real), float(v.imag)] for v in row] for row in m] if m.ndim else [float(m.real), float(m.imag)]
+        assert repr(cli._pairs(value)) == repr(ref)
 
 
 class TestParser:
