@@ -2,9 +2,10 @@
 
 Subpackage map:
 
-* ``symplectic``: the standard symplectic form, complex structures, the dual pairing.
-* ``siegel``: p^{1,0} tensors and their bracket in the identified picture
-  (its endomorphism-picture oracle is ``tests/siegel_oracle.py``).
+* ``symplectic``: the standard symplectic form, the Siegel-space check, the dual pairing.
+* ``siegel``: p^{1,0} tensors and their bracket at a period matrix Z, in the
+  identified picture (the complex structure J and the endomorphism picture
+  are its oracle, ``tests/siegel_oracle.py``).
 * ``periods``: hyperelliptic curves, tangents, period matrices, Riemann certificate.
 * ``bergman``: Hodge product, reproducing elements, kernel evaluation on a curve.
 * ``torelli``: point-supported cup products and the bracket/kernel identity.

@@ -13,26 +13,6 @@ class DimensionMismatchError(CurveKernelError, ValueError):
     """Vector or matrix arguments have incompatible shapes."""
 
 
-class ComplexStructureError(CurveKernelError, ValueError):
-    """A matrix fails to define a compatible complex structure."""
-
-
-class SquareInvariantError(ComplexStructureError):
-    """J^2 differs from -I beyond tolerance."""
-
-
-class SymplecticInvariantError(ComplexStructureError):
-    """J^T Q J differs from Q beyond tolerance."""
-
-
-class PositivityError(ComplexStructureError):
-    """The symmetric form Q(., J.) is not positive definite."""
-
-
-class SiegelDomainError(CurveKernelError, ValueError):
-    """A period matrix is not symmetric with positive definite imaginary part."""
-
-
 class SpMembershipError(CurveKernelError, ValueError):
     """A matrix is not in the symplectic Lie algebra (Q_X not symmetric)."""
 
@@ -67,7 +47,12 @@ class SingularSystemError(CurveKernelError):
 
 
 class LatticeError(CurveKernelError, ValueError):
-    """Lattice generators are degenerate (ratio not in the upper half-plane)."""
+    """Lattice generators the zeta/p evaluators cannot take.
+
+    They are non-finite or degenerate (ratio not in the upper half-plane), a
+    length or the lattice scale is outside the supported range, the basis is
+    too skewed to reduce, or the lattice is too thin for the tail sums.
+    """
 
 
 class TruncationError(CurveKernelError):

@@ -23,8 +23,9 @@ factors |x - e_l| off each segment are one product over the root axis of a
 product (``np.multiply.accumulate``) over k, with no ``pow``; and (A | B) is
 the segment table times a fixed 0/2 cycle incidence matrix. On tangents,
 y = sqrt f(x) is sqrt|lead| * sqrt(sign(lead) prod (x - e_l)) over the sorted
-roots, the factors the kernel uses; the leading coefficient stays out of the
-product, so a large one cannot overflow it where y itself is finite.
+roots, the factors the kernel uses; the product runs in units of a power of
+two at least max|e_l|, so neither the leading coefficient nor the size of the
+roots can overflow it where y itself is finite.
 
 None of this bookkeeping is trusted blindly: every computed period matrix
 must pass the Riemann certificate ``symplectic.siegel_residuals`` (Z symmetric,
@@ -39,6 +40,7 @@ by the same running product.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -82,11 +84,17 @@ class HyperellipticCurve:
     def sqrt_f(self, x):
         """sqrt|lead| * sqrt(sign(lead) prod_l (x - e_l)) over the sorted roots, elementwise in x.
 
-        This is the principal sqrt f(x), since sqrt|lead| > 0. The leading coefficient
-        stays out of the product, which may not overflow where lead * prod would.
+        This is the principal sqrt f(x), since sqrt|lead| > 0. The product runs in units
+        of 4^k >= max|e_l|, so it stays below (1 + |x| / 4^k)^d whatever the leading
+        coefficient and the size of the roots, and the unit comes back last as 2^(k d),
+        by ``ldexp``. Scaling by powers of two is exact: where the unscaled product does
+        not overflow, the value is the same to the bit.
         """
-        prod = np.prod(np.asarray(x)[..., None] - self.roots, axis=-1)
-        return np.sqrt(abs(self.leading)) * np.sqrt(np.sign(self.leading) * prod)
+        k = (math.frexp(max(-self.roots[0], self.roots[-1]))[1] + 1) // 2  # max|e_l| < 2^(2k)
+        unit = 0.25**k
+        prod = np.prod(np.asarray(x)[..., None] * unit - self.roots * unit, axis=-1)
+        y = np.sqrt(abs(self.leading)) * np.sqrt(np.sign(self.leading) * prod)
+        return np.ldexp(y.real, k * self.degree) + 1j * np.ldexp(y.imag, k * self.degree)
 
 
 def build_curve(f_coeffs) -> HyperellipticCurve:

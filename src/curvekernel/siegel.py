@@ -1,46 +1,48 @@
 """The bracket tensor on p^{1,0} at a point of Siegel space, in the identified picture.
 
-At a fixed complex structure J the symplectic Lie algebra splits into the
-J-commuting part and the J-anticommuting part p, and the bracket of two
-p-elements lands back in the J-commuting part. The paper's bracket lives
-on p^{1,0}, which this module writes in the coordinates of the period
-matrix Z = X + iY: a p^{1,0} tensor is a g x g matrix t mapping
+At a fixed complex structure the symplectic Lie algebra splits into the
+commuting part and the anticommuting part p, and the bracket of two
+p-elements lands back in the commuting part. The paper's bracket lives on
+p^{1,0}, which this module writes in the coordinates of the period matrix
+Z = X + iY itself: a p^{1,0} tensor is a g x g matrix t mapping
 H10 = (I; Z^T) to H01 = conj(H10) (``p_tensor``), and its membership
 condition is the symmetry of Qstar(., t .), where Qstar on H10 x H01 is
 conj(Z) - Z^T = -2iY. ``bracket_identified`` computes the bracket
-(s, conj t) -> conj(t) s there.
+(s, conj t) -> conj(t) s there. Z is a point of Siegel space, such as a
+period matrix that passed the Riemann certificate of ``periods``.
 
-The endomorphism picture, with p^{1,0} inside End(V_C) and the bracket a
-matrix commutator, is the independent reference for that formula; it
-lives with the tests, in ``tests/siegel_oracle.py``.
+The endomorphism picture, with the complex structure J of Z, p^{1,0}
+inside End(V_C) and the bracket a matrix commutator, is the independent
+reference for that formula; it lives with the tests, in
+``tests/siegel_oracle.py``.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import SpMembershipError
-from .symplectic import MATRIX_TOL, ComplexStructure
+from .symplectic import MATRIX_TOL
 
 
-def _qstar_pairing_matrix(cs: ComplexStructure) -> np.ndarray:
+def _qstar_pairing_matrix(Z: np.ndarray) -> np.ndarray:
     """K with K @ t = matrix of Qstar(., t .) restricted to H10: H10^T Q H01 = conj(Z) - Z^T."""
-    return cs.Z.conj() - cs.Z.T
+    return Z.conj() - Z.T
 
 
-def p_tensor(cs: ComplexStructure, t) -> np.ndarray:
-    """t as a complex g x g array, checked to be a p^{1,0} tensor: H10 -> H01."""
-    t = np.asarray(t, dtype=complex)
-    g = cs.g
-    if t.shape != (g, g) or not np.isfinite(t).all():
-        raise SpMembershipError(f"expected a finite {g}x{g} matrix, got shape {t.shape}")
-    qt = _qstar_pairing_matrix(cs) @ t
+def p_tensor(Z, t) -> np.ndarray:
+    """t as a complex g x g array, checked to be a p^{1,0} tensor at Z: H10 -> H01."""
+    Z, t = np.asarray(Z, dtype=complex), np.asarray(t, dtype=complex)
+    g = len(Z)
+    if Z.shape != (g, g) or t.shape != (g, g) or not (np.isfinite(Z).all() and np.isfinite(t).all()):
+        raise SpMembershipError(f"expected finite {g}x{g} matrices, got shapes {Z.shape} and {t.shape}")
+    qt = _qstar_pairing_matrix(Z) @ t
     res = np.linalg.norm(qt - qt.T)
     if res > MATRIX_TOL:
         raise SpMembershipError(f"Qstar_t is not symmetric (residual {res:.3e})")
     return t
 
 
-def bracket_identified(cs: ComplexStructure, s, t) -> np.ndarray:
-    """Bracket in the identified picture: (s, conj t) -> conj(t) s on H10."""
-    s, t = p_tensor(cs, s), p_tensor(cs, t)
+def bracket_identified(Z, s, t) -> np.ndarray:
+    """Bracket in the identified picture at Z: (s, conj t) -> conj(t) s on H10."""
+    s, t = p_tensor(Z, s), p_tensor(Z, t)
     return np.conj(t) @ s

@@ -1,4 +1,13 @@
-"""The endomorphism picture of p^{1,0}: the reference for ``siegel.bracket_identified``.
+"""The complex-structure picture of Siegel space: the reference for ``siegel.bracket_identified``.
+
+A period matrix Z = X + iY is the coordinate of a complex structure J on
+(R^2g, Q) with J^2 = -I, J^T Q J = Q and Q(., J.) positive definite; a
+``ComplexStructure`` stores both, in closed form from each other:
+J = [[-X Y^-1, -(Y + X Y^-1 X)], [Y^-1, Y^-1 X]], and Z = c^-1 (d + iI) for
+J = [[a, b], [c, d]]. V0m1 = (-Z; I) spans the -i eigenspace of J and
+Vm10 = conj(V0m1) the +i one; H10 = (I; Z^T) annihilates V0m1, and
+H01 = conj(H10). ``complex_structure_from_period_matrix`` admits Z by the
+package's one domain check, ``siegel_residuals`` against ``TOL_RIEMANN``.
 
 Algebra elements are matrices X with Q(., X.) symmetric, Q = ``duality_maps(g)``
 (also the matrix of Qstar). p^{1,0} sits in End(V_C) as the X that vanish on the
@@ -9,11 +18,116 @@ checking the duality lemmas on the way.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from curvekernel import siegel
-from curvekernel.errors import CurveKernelError, SpMembershipError
-from curvekernel.symplectic import MATRIX_TOL, duality_maps
+from curvekernel.errors import CurveKernelError, DimensionMismatchError, SpMembershipError
+from curvekernel.symplectic import MATRIX_TOL, TOL_RIEMANN, duality_maps, siegel_residuals
+
+
+class ComplexStructureError(CurveKernelError, ValueError):
+    """A matrix fails to define a compatible complex structure."""
+
+
+class SquareInvariantError(ComplexStructureError):
+    """J^2 differs from -I beyond tolerance."""
+
+
+class SymplecticInvariantError(ComplexStructureError):
+    """J^T Q J differs from Q beyond tolerance."""
+
+
+class PositivityError(ComplexStructureError):
+    """The symmetric form Q(., J.) is not positive definite."""
+
+
+class SiegelDomainError(CurveKernelError, ValueError):
+    """A period matrix is not symmetric with positive definite imaginary part."""
+
+
+@dataclass(frozen=True, eq=False)
+class ComplexStructure:
+    """A compatible complex structure J and its period matrix Z.
+
+    The 2g x g bases ``Vm10``/``V0m1`` (+i / -i eigenspaces of J) and
+    ``H10``/``H01`` (their annihilators) are read off Z once, on construction.
+    """
+
+    Z: np.ndarray
+    J: np.ndarray
+    Vm10: np.ndarray = field(init=False, repr=False)
+    V0m1: np.ndarray = field(init=False, repr=False)
+    H10: np.ndarray = field(init=False, repr=False)
+    H01: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        eye = np.eye(self.g)
+        v0m1 = np.vstack([-self.Z, eye])
+        h10 = np.vstack([eye, self.Z.T]).astype(complex)
+        # frozen: the derived fields go straight into the instance dict
+        self.__dict__.update(Vm10=v0m1.conj(), V0m1=v0m1, H10=h10, H01=h10.conj())
+
+    @property
+    def g(self) -> int:
+        return len(self.Z)
+
+
+def _check_compatible(J: np.ndarray) -> None:
+    n = J.shape[0]
+    Q = duality_maps(n // 2)
+    if not np.isfinite(J).all():
+        raise SquareInvariantError("J has non-finite entries")
+    if np.linalg.norm(J @ J + np.eye(n)) > MATRIX_TOL:
+        raise SquareInvariantError("J^2 + I exceeds tolerance: not an almost complex structure")
+    if np.linalg.norm(J.T @ Q @ J - Q) > MATRIX_TOL:
+        raise SymplecticInvariantError("J^T Q J - Q exceeds tolerance: J does not preserve Q")
+    gj = Q @ J
+    eigmin = np.linalg.eigvalsh((gj + gj.T) / 2).min()
+    if eigmin <= 0:
+        raise PositivityError(f"Q(., J.) is not positive definite (min eigenvalue {eigmin:.3e})")
+
+
+def complex_structure_from_matrix(J: np.ndarray) -> ComplexStructure:
+    """Validate a 2g x 2g matrix J against the standard form and read Z = c^-1 (d + iI) off it.
+
+    The block c of J = [[a, b], [c, d]] is the positive definite upper-left block of Q J.
+    """
+    J = np.asarray(J, dtype=float)
+    if J.ndim != 2 or J.shape[0] != J.shape[1] or J.shape[0] % 2:
+        raise DimensionMismatchError(f"J must be 2g x 2g, got {J.shape}")
+    _check_compatible(J)
+    g = J.shape[0] // 2
+    Z = np.linalg.solve(J[g:, :g], J[g:, g:] + 1j * np.eye(g))
+    return ComplexStructure(Z=(Z + Z.T) / 2, J=J)
+
+
+def complex_structure_from_period_matrix(Z: np.ndarray) -> ComplexStructure:
+    """Complex structure of a period matrix Z that passes ``siegel_residuals``.
+
+    It is built from the symmetric part X + iY of Z, with J in closed form.
+    """
+    Z = np.asarray(Z, dtype=complex)
+    if Z.ndim != 2 or Z.shape[0] != Z.shape[1] or not len(Z):
+        raise DimensionMismatchError(f"period matrix must be square and non-empty, got {Z.shape}")
+    if not np.isfinite(Z).all():
+        raise SiegelDomainError("period matrix has non-finite entries")
+    residual, min_eig = siegel_residuals(Z)
+    if residual > TOL_RIEMANN or min_eig <= 0:
+        raise SiegelDomainError(
+            f"Z outside Siegel space (||Z - Z^T|| = {residual:.3e}, min eig Im Z = {min_eig:.3e})"
+        )
+    g = len(Z)
+    Z = (Z + Z.T) / 2
+    X, Y = Z.real, Z.imag
+    y_inv = np.linalg.inv(Y)
+    w = y_inv @ X  # its transpose is X Y^-1
+    J = np.empty((2 * g, 2 * g))
+    J[:g, :g], J[:g, g:], J[g:, :g], J[g:, g:] = -w.T, -(Y + X @ w), y_inv, w
+    _check_compatible(J)
+    return ComplexStructure(Z=Z, J=J)
+
 
 #: Relative tolerance of the H01 checks on transposed matrices (span membership, vanishing).
 _SPAN_TOL = 1e-8
@@ -44,7 +158,7 @@ def random_sp_element(cs, rng, real=False):
 def random_p_tensor(cs, rng):
     g = cs.g
     s = rng.standard_normal((g, g)) + 1j * rng.standard_normal((g, g))
-    return siegel.p_tensor(cs, np.linalg.solve(siegel._qstar_pairing_matrix(cs), s + s.T))
+    return siegel.p_tensor(cs.Z, np.linalg.solve(siegel._qstar_pairing_matrix(cs.Z), s + s.T))
 
 
 def cartan_project(cs, X):
@@ -61,7 +175,7 @@ def bracket_raw(cs, X, Y):
 def embed_p10(cs, t):
     """Endomorphism Vm10 S H01^T of V_C: it vanishes on the +i eigenspace, has image
     inside it, and as Vm10^T H10 = 2iY, S = Y^-1 t^T / 2i makes its transpose send H10 to H01 t."""
-    t = siegel.p_tensor(cs, t)
+    t = siegel.p_tensor(cs.Z, t)
     s = np.linalg.solve(cs.Z.imag, t.T) / 2j
     return cs.Vm10 @ s @ cs.H01.T
 
@@ -72,7 +186,7 @@ def extract_p10(cs, X):
     t = target[: cs.g]
     if np.linalg.norm(cs.H01 @ t - target) > _SPAN_TOL * max(1.0, np.linalg.norm(target)):
         raise SpMembershipError("transpose does not map H10 into the span of H01")
-    return siegel.p_tensor(cs, t)
+    return siegel.p_tensor(cs.Z, t)
 
 
 def type11_vanishing_check(cs, s, t) -> float:

@@ -4,7 +4,9 @@ For y^2 = 4x^3 - g2 x - g3 the Abel map z = integral dx/y sends the curve to
 C / (Z A + Z B), with A and B the a- and b-periods of dx/y, and x = p(z)
 there. So the lattice that ``build_lattice`` makes from ``compute_periods``
 must have 60 G4 = g2 and 140 G6 = g3: the curve side and the lattice side
-are oracles of each other. The Hodge product of dx/y is twice the cell's
+are oracles of each other. A, B and tau = B / A themselves are checked
+against the arithmetic-geometric mean, which gives them exactly at any root
+gap (``agm_periods``). The Hodge product of dx/y is twice the cell's
 area, so the curve's kernel is the torus's closed form once a tangent
 lam d/dx is read as (lam / y) d/dz. And p inverts the Abel map, which
 mpmath integrates independently.
@@ -16,6 +18,43 @@ import numpy as np
 import pytest
 
 from curvekernel import bergman, periods, torus, weierstrass
+
+
+def agm_periods(curve) -> tuple[complex, complex]:
+    """(A, B) of dx/y on y^2 = 4 prod(x - e_i), e1 > e2 > e3 the curve's own roots, from the AGM.
+
+    |A| / 2 = integral over [e3, e2] of dx / |y| = pi / (2 AGM(sqrt(e1 - e3), sqrt(e1 - e2))), and
+    |B| / 2 = integral over [e2, e1] = pi / (2 AGM(sqrt(e1 - e3), sqrt(e2 - e3))). In the cycle
+    convention of ``periods``, y = i^(3 - m) |y| on the m-th segment from the left, so A = -|A|
+    and B = -i |B|.
+    """
+    e3, e2, e1 = (mp.mpf(float(e)) for e in curve.roots)
+    with mp.workdps(40):
+        half_a = mp.pi / (2 * mp.agm(mp.sqrt(e1 - e3), mp.sqrt(e1 - e2)))
+        half_b = mp.pi / (2 * mp.agm(mp.sqrt(e1 - e3), mp.sqrt(e2 - e3)))
+        return complex(-2 * half_a), complex(-2j * half_b)
+
+
+@pytest.mark.parametrize(
+    "roots,order",
+    [
+        ((-1.0, -0.3, 0.4), 64),
+        ((-1.0, 0.4, 0.5), 64),
+        ((-1.0, 0.49, 0.5), 128),
+        ((-1.0, 0.499, 0.5), 512),
+        ((-1.0, -0.999, 0.5), 512),
+        ((-1.0, 0.4999, 0.5), 1024),
+    ],
+    ids=["gap-0.7", "gap-1e-1", "gap-1e-2", "gap-1e-3", "gap-1e-3-low", "gap-1e-4"],
+)
+def test_periods_match_the_agm(roots, order):
+    # the oracle reads the computed roots, so both sides integrate the same curve
+    pd = periods.compute_periods(
+        periods.build_curve(4 * np.polynomial.polynomial.polyfromroots(roots)), quad_order=order
+    )
+    A, B = agm_periods(pd.curve)
+    assert pd.A[0, 0] == pytest.approx(A, rel=1e-13, abs=0)
+    assert pd.B[0, 0] == pytest.approx(B, rel=1e-13, abs=0)
 
 
 def cubic_invariants(roots) -> tuple[float, float]:
@@ -52,6 +91,9 @@ def test_periods_span_the_lattice_of_the_invariants(roots, order):
     lat = weierstrass.build_lattice(pd.A[0, 0], pd.B[0, 0])
     assert 60 * lat.eisenstein4 == pytest.approx(g2, rel=1e-12, abs=0)
     assert 140 * lat.eisenstein6 == pytest.approx(g3, rel=1e-12, abs=0)
+    # G4 and G6 hardly move with tau on a thin lattice; tau itself against the AGM
+    A, B = agm_periods(pd.curve)
+    assert pd.Z[0, 0] == pytest.approx(B / A, rel=1e-12, abs=0)
     # h(dx/y, dx/y) = i * integral of dz wedge conj(dz) = 2 area, with the lattice's orientation
     ctx = bergman.context_from_periods(pd, basis="raw")
     assert ctx.gram[0, 0] == pytest.approx(2 * lat.area, rel=1e-12, abs=0)

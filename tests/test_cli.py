@@ -17,6 +17,9 @@ G1_COEFFS = [0, -1, 0, 1]
 #: f with roots 0..8 (genus 4): times 2^1006 (6.9e302) every coefficient is finite, while f(x) overflows
 #: near the roots; a power of two scales the coefficients exactly, so c f has the roots of f
 G4_COEFFS = [0, 40320, -109584, 118124, -67284, 22449, -4536, 546, -36, 1]
+#: f with roots 1e34 k, k = 0..8: prod (x - e_l) passes 1e308 on the scale of the roots, where times
+#: 2^-997 (7.5e-301) |y| is below 1e7
+WIDE_COEFFS = list(np.polynomial.polynomial.polyfromroots(1e34 * np.arange(9)))
 
 
 def scaled_spec(coeffs, c):
@@ -213,6 +216,14 @@ class TestBergmanEvalCommand:
         )
         assert max_relative_gap(values, ref_values) <= 1e-12
 
+    def test_small_lead_on_large_roots(self, capsys):
+        # the "normalized" presentation in the monomial basis is about 5e-12 relative off the other two
+        # here (ROADMAP item 8), so c f is not compared with f as above; the spread check still holds
+        argv = ["--u", "8.9e34,1.2e34,1,1,0", "--v", "0.5e34,0.7e34,-1,0.3,-0.2"]
+        code, out, _ = run_cli(capsys, "bergman-eval", "--curve", scaled_spec(WIDE_COEFFS, 1e-300), *argv)
+        assert code == 0
+        assert json.loads(out)["pass"] is True
+
     # the kernel values overflow on purpose; no RuntimeWarning, one JSON error naming it
     def test_non_finite_report_is_input_error(self, capsys):
         code, out, err = run_cli(
@@ -246,8 +257,8 @@ class TestVerifyCommands:
 
     @pytest.mark.parametrize(
         "coeffs, c",
-        [(G1_COEFFS, 1e-20), (G1_COEFFS, 1e20), (G4_COEFFS, 2.0**1006)],
-        ids=["1e-20", "1e+20", "roots-0..8-2^1006"],
+        [(G1_COEFFS, 1e-20), (G1_COEFFS, 1e20), (G4_COEFFS, 2.0**1006), (WIDE_COEFFS, 2.0**-997)],
+        ids=["1e-20", "1e+20", "roots-0..8-2^1006", "roots-1e34k-2^-997"],
     )
     def test_theorem_a_under_f_times_constant(self, capsys, coeffs, c):
         # the sampler rejects the same draws for c f as for f, so both sides match the c = 1 run

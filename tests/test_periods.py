@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -151,6 +152,18 @@ class TestDifferentialEval:
         # x is finite but f(x) = x^3 - x is not
         with pytest.raises(CurveError):
             periods.tangent(g1_curve, np.array([2.0, x]))
+
+    def test_small_lead_on_large_roots(self):
+        # f = 1e-300 prod (x - 1e34 k), k = 0..8: prod (x - e_l) passes 1e308 where |y| is below 1e7
+        curve = periods.build_curve(1e-300 * np.polynomial.polynomial.polyfromroots(1e34 * np.arange(9)))
+        x = np.array([8.9e34 + 1.2e34j, 0.5e34 + 0.7e34j, 4.2e34 - 0.3e34j, -1e34 - 2e34j])
+        u = periods.tangent(curve, x, [1, -1, 1, -1])
+        with mp.workdps(30):
+            expected = [
+                complex(mp.sqrt(mp.mpf(curve.leading) * mp.fprod(mp.mpc(xi) - mp.mpf(e) for e in curve.roots)))
+                for xi in x
+            ]
+        assert_allclose(u.y * u.sheet, expected, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf, complex(np.nan, 1.0)])
     def test_non_finite_lam_rejected(self, g1_curve, bad):

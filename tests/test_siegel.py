@@ -6,25 +6,22 @@ from numpy.testing import assert_allclose
 
 from curvekernel import siegel as sg
 from curvekernel import symplectic as sy
-from curvekernel.errors import (
-    SiegelDomainError,
-    SpMembershipError,
-    SquareInvariantError,
-)
+from curvekernel.errors import SpMembershipError
 
 from conftest import random_siegel_point
 import siegel_oracle as so
+from siegel_oracle import SiegelDomainError, SquareInvariantError
 
 
 @pytest.fixture(scope="module", params=[1, 2, 3])
 def structure(request):
     rng = np.random.default_rng(100 + request.param)
-    return sy.complex_structure_from_period_matrix(random_siegel_point(request.param, rng))
+    return so.complex_structure_from_period_matrix(random_siegel_point(request.param, rng))
 
 
 @pytest.fixture(scope="module")
 def cs1():
-    return sy.complex_structure_from_period_matrix(np.array([[1j]]))
+    return so.complex_structure_from_period_matrix(np.array([[1j]]))
 
 
 class TestSpElement:
@@ -93,6 +90,13 @@ class TestPTensor:
         t = so.random_p_tensor(structure, rng)
         assert t.shape == (structure.g, structure.g)
 
+    @pytest.mark.parametrize(
+        "z", [[[np.nan + 1j]], [[np.inf * 1j]], np.ones((2, 3)) * 1j], ids=["nan", "inf", "not-square"]
+    )
+    def test_rejects_malformed_z(self, z):
+        with pytest.raises(SpMembershipError):
+            sg.p_tensor(z, np.eye(len(z)))
+
     def test_rejects_asymmetric(self, structure):
         g = structure.g
         if g == 1:
@@ -102,7 +106,7 @@ class TestPTensor:
         s = s - s.T + np.eye(g)  # dominantly antisymmetric pairing part
         k = structure.H10.T @ sy.duality_maps(structure.g) @ structure.H01
         with pytest.raises(SpMembershipError):
-            sg.p_tensor(structure, np.linalg.solve(k, s))
+            sg.p_tensor(structure.Z, np.linalg.solve(k, s))
 
     def test_embedding_properties(self, structure):
         rng = np.random.default_rng(7)
@@ -147,13 +151,13 @@ class TestBracketIdentified:
     def test_zero(self, structure):
         rng = np.random.default_rng(12)
         s = so.random_p_tensor(structure, rng)
-        zero = sg.p_tensor(structure, np.zeros((structure.g, structure.g)))
-        assert np.linalg.norm(sg.bracket_identified(structure, s, zero)) == 0
+        zero = sg.p_tensor(structure.Z, np.zeros((structure.g, structure.g)))
+        assert np.linalg.norm(sg.bracket_identified(structure.Z, s, zero)) == 0
 
     def test_g1_closed_form(self, cs1):
         c = 0.7 - 0.4j
-        s = sg.p_tensor(cs1, np.array([[c]]))
-        out = sg.bracket_identified(cs1, s, s)
+        s = sg.p_tensor(cs1.Z, np.array([[c]]))
+        out = sg.bracket_identified(cs1.Z, s, s)
         assert out[0, 0] == pytest.approx(abs(c) ** 2)
 
     def test_two_path_agreement(self, structure):
@@ -168,7 +172,22 @@ class TestBracketIdentified:
             transported = raw.T @ structure.H10
             m, *_ = np.linalg.lstsq(structure.H10, transported, rcond=None)
             assert np.linalg.norm(structure.H10 @ m - transported) <= 1e-9
-            assert np.linalg.norm(m - sg.bracket_identified(structure, s, t)) <= 1e-10
+            assert np.linalg.norm(m - sg.bracket_identified(structure.Z, s, t)) <= 1e-10
+
+    @pytest.mark.parametrize("pd_fixture", ["g2_pd", "g3_pd"], ids=["g2", "g3"])
+    def test_at_a_curve_period_matrix(self, request, pd_fixture):
+        # the bracket at Z as compute_periods returns it, against the commutator at its J
+        pd = request.getfixturevalue(pd_fixture)
+        cs = so.complex_structure_from_period_matrix(pd.Z)
+        rng = np.random.default_rng(16)
+        for _ in range(30):
+            s = so.random_p_tensor(cs, rng)
+            t = so.random_p_tensor(cs, rng)
+            xs = so.embed_p10(cs, s)
+            xt = so.embed_p10(cs, t)
+            raw = xs @ np.conj(xt) - np.conj(xt) @ xs
+            m, *_ = np.linalg.lstsq(cs.H10, raw.T @ cs.H10, rcond=None)
+            assert np.linalg.norm(m - sg.bracket_identified(pd.Z, s, t)) <= 1e-10
 
 
 class TestTransport:
@@ -200,7 +219,7 @@ class TestEntryValidation:
 
     @pytest.fixture(scope="class")
     def cs2(self):
-        return sy.complex_structure_from_period_matrix(np.array([[1.5j, 0.3], [0.3, 1j]]))
+        return so.complex_structure_from_period_matrix(np.array([[1.5j, 0.3], [0.3, 1j]]))
 
     @pytest.fixture(scope="class")
     def bad_x(self, cs2):
@@ -231,8 +250,8 @@ class TestEntryValidation:
         [
             lambda cs, t: so.embed_p10(cs, t),
             lambda cs, t: so.type11_vanishing_check(cs, so.random_p_tensor(cs, np.random.default_rng(0)), t),
-            lambda cs, t: sg.bracket_identified(cs, t, so.random_p_tensor(cs, np.random.default_rng(0))),
-            lambda cs, t: sg.bracket_identified(cs, so.random_p_tensor(cs, np.random.default_rng(0)), t),
+            lambda cs, t: sg.bracket_identified(cs.Z, t, so.random_p_tensor(cs, np.random.default_rng(0))),
+            lambda cs, t: sg.bracket_identified(cs.Z, so.random_p_tensor(cs, np.random.default_rng(0)), t),
         ],
         ids=["embed_p10", "type11_vanishing_check", "bracket_identified", "bracket_identified_second"],
     )
@@ -248,11 +267,11 @@ NAN2 = np.full((2, 2), np.nan)
     "call, error",
     [
         (lambda cs: so.sp_element(cs, NAN2), SpMembershipError),
-        (lambda cs: sg.p_tensor(cs, [[np.nan]]), SpMembershipError),
+        (lambda cs: sg.p_tensor(cs.Z, [[np.nan]]), SpMembershipError),
         (lambda cs: so.extract_p10(cs, NAN2), SpMembershipError),
-        (lambda cs: sy.complex_structure_from_period_matrix(np.array([[np.nan + 1j]])), SiegelDomainError),
-        (lambda cs: sy.complex_structure_from_period_matrix(np.array([[np.inf * 1j]])), SiegelDomainError),
-        (lambda cs: sy.complex_structure_from_matrix(NAN2), SquareInvariantError),
+        (lambda cs: so.complex_structure_from_period_matrix(np.array([[np.nan + 1j]])), SiegelDomainError),
+        (lambda cs: so.complex_structure_from_period_matrix(np.array([[np.inf * 1j]])), SiegelDomainError),
+        (lambda cs: so.complex_structure_from_matrix(NAN2), SquareInvariantError),
     ],
     ids=[
         "sp_element",

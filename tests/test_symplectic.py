@@ -1,22 +1,28 @@
+"""The standard form, the Siegel-space check and the dual pairing of ``symplectic``.
+
+The complex-structure classes check the J picture of ``siegel_oracle``, the
+reference the bracket of ``siegel`` is tested against.
+"""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import siegel_oracle as so
 from curvekernel import periods
 from curvekernel import siegel as sg
 from curvekernel import symplectic as sy
 from conftest import random_siegel_point
-from siegel_oracle import embed_p10, random_p_tensor
-from curvekernel.errors import (
-    DimensionMismatchError,
+from siegel_oracle import (
     PositivityError,
-    RiemannRelationError,
     SiegelDomainError,
     SquareInvariantError,
     SymplecticInvariantError,
+    embed_p10,
+    random_p_tensor,
 )
+from curvekernel.errors import DimensionMismatchError, RiemannRelationError
 
 
 def test_standard_space_g1():
@@ -37,7 +43,7 @@ def test_standard_space_rejects_g0():
 
 class TestComplexStructureFromMatrix:
     def test_valid_g1(self):
-        cs = sy.complex_structure_from_matrix([[0.0, -1.0], [1.0, 0.0]])
+        cs = so.complex_structure_from_matrix([[0.0, -1.0], [1.0, 0.0]])
         # +i eigenspace is the line through (1, -i)
         v = cs.Vm10[:, 0]
         assert_allclose(cs.J @ v, 1j * v, atol=1e-12)
@@ -46,11 +52,11 @@ class TestComplexStructureFromMatrix:
 
     def test_sign_flipped_j_not_positive(self):
         with pytest.raises(PositivityError):
-            sy.complex_structure_from_matrix([[0.0, 1.0], [-1.0, 0.0]])
+            so.complex_structure_from_matrix([[0.0, 1.0], [-1.0, 0.0]])
 
     def test_identity_fails_square_invariant(self):
         with pytest.raises(SquareInvariantError):
-            sy.complex_structure_from_matrix(np.eye(2))
+            so.complex_structure_from_matrix(np.eye(2))
 
     def test_square_ok_but_not_symplectic(self):
         # conjugate the standard J at g=2 by a shear acting on one block only
@@ -60,12 +66,12 @@ class TestComplexStructureFromMatrix:
         j = p @ j0 @ np.linalg.inv(p)
         assert np.linalg.norm(j @ j + np.eye(4)) < 1e-14
         with pytest.raises(SymplecticInvariantError):
-            sy.complex_structure_from_matrix(j)
+            so.complex_structure_from_matrix(j)
 
     @pytest.mark.parametrize("shape", [(3, 3), (2, 4), (0, 0)], ids=["odd", "not-square", "empty"])
     def test_shape_rejected(self, shape):
         with pytest.raises(DimensionMismatchError):
-            sy.complex_structure_from_matrix(np.zeros(shape))
+            so.complex_structure_from_matrix(np.zeros(shape))
 
     @pytest.mark.parametrize("g", [1, 2, 3, 4])
     def test_period_matrix_round_trip(self, g):
@@ -73,8 +79,8 @@ class TestComplexStructureFromMatrix:
         rng = np.random.default_rng(30 + g)
         for _ in range(10):
             z = random_siegel_point(g, rng)
-            cs = sy.complex_structure_from_period_matrix(z)
-            back = sy.complex_structure_from_matrix(cs.J)
+            cs = so.complex_structure_from_period_matrix(z)
+            back = so.complex_structure_from_matrix(cs.J)
             assert np.array_equal(back.J, cs.J)
             assert np.linalg.norm(back.Z - z) <= 1e-12 * np.linalg.norm(z)
             assert np.linalg.norm(back.Vm10 - cs.Vm10) <= 1e-12 * np.linalg.norm(cs.Vm10)
@@ -82,31 +88,31 @@ class TestComplexStructureFromMatrix:
 
     def test_annihilator_identity(self):
         rng = np.random.default_rng(3)
-        cs = sy.complex_structure_from_period_matrix(random_siegel_point(3, rng))
+        cs = so.complex_structure_from_period_matrix(random_siegel_point(3, rng))
         assert np.linalg.norm(cs.H10.T @ cs.V0m1) < 1e-10
         assert np.linalg.norm(cs.H01.T @ cs.Vm10) < 1e-10
 
 
 class TestComplexStructureFromPeriodMatrix:
     def test_g1_square_period_matrix(self):
-        cs = sy.complex_structure_from_period_matrix(np.array([[1j]]))
+        cs = so.complex_structure_from_period_matrix(np.array([[1j]]))
         assert_allclose(cs.J, [[0.0, -1.0], [1.0, 0.0]], atol=1e-12)
 
     def test_real_z_rejected(self):
         with pytest.raises(SiegelDomainError):
-            sy.complex_structure_from_period_matrix(np.array([[2.0 + 0j]]))
+            so.complex_structure_from_period_matrix(np.array([[2.0 + 0j]]))
 
     def test_empty_rejected(self):
         with pytest.raises(DimensionMismatchError):
-            sy.complex_structure_from_period_matrix(np.zeros((0, 0)))
+            so.complex_structure_from_period_matrix(np.zeros((0, 0)))
 
     def test_nonsymmetric_rejected(self):
         z = np.array([[1j, 0.5], [0.4, 1j]])
         with pytest.raises(SiegelDomainError):
-            sy.complex_structure_from_period_matrix(z)
+            so.complex_structure_from_period_matrix(z)
 
     def test_g2_diagonal(self):
-        cs = sy.complex_structure_from_period_matrix(1j * np.eye(2))
+        cs = so.complex_structure_from_period_matrix(1j * np.eye(2))
         j_expected = np.block(
             [[np.zeros((2, 2)), -np.eye(2)], [np.eye(2), np.zeros((2, 2))]]
         )
@@ -116,7 +122,7 @@ class TestComplexStructureFromPeriodMatrix:
     def test_invariant_suite_random(self, g):
         rng = np.random.default_rng(10 + g)
         for _ in range(20):
-            cs = sy.complex_structure_from_period_matrix(random_siegel_point(g, rng))
+            cs = so.complex_structure_from_period_matrix(random_siegel_point(g, rng))
             n = 2 * g
             assert np.linalg.norm(cs.J @ cs.J + np.eye(n)) <= 1e-10
             q = sy.duality_maps(g)
@@ -130,7 +136,7 @@ class TestComplexStructureFromPeriodMatrix:
     @pytest.mark.parametrize("g", [1, 2, 3])
     def test_phi_q_maps_v0m1_onto_h10(self, g):
         rng = np.random.default_rng(20 + g)
-        cs = sy.complex_structure_from_period_matrix(random_siegel_point(g, rng))
+        cs = so.complex_structure_from_period_matrix(random_siegel_point(g, rng))
         assert np.linalg.norm(sy.duality_maps(g) @ cs.V0m1 - cs.H10) <= 1e-10
 
 
@@ -146,7 +152,7 @@ class TestCertifiedPeriodsAreSiegelPoints:
         curve = periods.build_curve(np.polynomial.polynomial.polyfromroots(roots))
         pd = periods.compute_periods(curve, quad_order=order)
         assert pd.riemann_residual > sy.MATRIX_TOL  # above the J-identity tolerance
-        cs = sy.complex_structure_from_period_matrix(pd.Z)
+        cs = so.complex_structure_from_period_matrix(pd.Z)
         q = sy.duality_maps(cs.g)
         assert np.linalg.norm(cs.J @ cs.J + np.eye(2 * cs.g)) <= 1e-12
         assert np.linalg.norm(cs.J.T @ q @ cs.J - q) <= 1e-12
@@ -156,7 +162,7 @@ class TestCertifiedPeriodsAreSiegelPoints:
         xs, xt = embed_p10(cs, s), embed_p10(cs, t)
         raw = xs @ np.conj(xt) - np.conj(xt) @ xs
         m, *_ = np.linalg.lstsq(cs.H10, raw.T @ cs.H10, rcond=None)
-        expected = sg.bracket_identified(cs, s, t)
+        expected = sg.bracket_identified(cs.Z, s, t)
         assert np.linalg.norm(m - expected) <= 1e-10 * np.linalg.norm(expected)
 
     def test_threshold_is_the_certificate(self):
@@ -164,7 +170,7 @@ class TestCertifiedPeriodsAreSiegelPoints:
         z = np.array([[1.5j, 0.3 + np.sqrt(2) * 1e-8], [0.3, 1j]])
         assert sy.siegel_residuals(z)[0] == pytest.approx(2e-8)
         with pytest.raises(SiegelDomainError):
-            sy.complex_structure_from_period_matrix(z)
+            so.complex_structure_from_period_matrix(z)
         with pytest.raises(RiemannRelationError):
             periods._period_data(None, np.eye(2), z, 64)
 
@@ -226,7 +232,7 @@ class TestQstarPairing:
         # Qstar(omega_bar, lam) = <psi_Q omega_bar, lam> with psi_Q = -duality_maps(g)
         rng = np.random.default_rng(5)
         for g in (1, 2, 3):
-            cs = sy.complex_structure_from_period_matrix(random_siegel_point(g, rng))
+            cs = so.complex_structure_from_period_matrix(random_siegel_point(g, rng))
             omega_bar = cs.H01 @ (rng.standard_normal(g) + 1j * rng.standard_normal(g))
             for _ in range(10):
                 lam = cs.H10 @ (rng.standard_normal(g) + 1j * rng.standard_normal(g))
@@ -241,7 +247,7 @@ class TestPsiQAsFunctional:
         # and lam -> <psi_Q omega_bar, lam> is the Q* pairing with omega_bar
         from curvekernel import bergman
 
-        cs = sy.complex_structure_from_period_matrix(g2_ctx.pd.Z)
+        cs = so.complex_structure_from_period_matrix(g2_ctx.pd.Z)
         omega_bar = bergman.class_period_vector(g2_ctx, [0.4 - 0.9j, 1.1 + 0.2j], conjugated=True)
         coeffs, *_ = np.linalg.lstsq(cs.H01, omega_bar, rcond=None)
         assert np.linalg.norm(cs.H01 @ coeffs - omega_bar) <= 1e-10 * np.linalg.norm(omega_bar)
