@@ -10,20 +10,20 @@ is the Gram matrix the kernel formula inverts.
 ``bergman_eval`` supports the three equivalent presentations of the kernel
 value at a pair of tangent vectors and the tests pin their agreement:
 
-* ``gram``: conj(e(v)) . G^{-1} . e(u) in the working basis;
+* ``gram``: conj(e(v)) . G^{-1} . e(u), G the Gram matrix of the periods;
 * ``unitary``: plain sum over a unitarized basis;
-* ``normalized``: (1/2) conj(e~(v)) . (Im Z)^{-1} . e~(u) in the
-  a-normalized basis.
+* ``normalized``: (1/2) conj(e(v)) . (Im Z)^{-1} . e(u), the closed form.
 
 ``presentation_spread`` is the largest disagreement among them.
 
-A ``BergmanContext`` is always a curve's: ``context_from_periods`` builds
-it from the period data and a working basis, and it evaluates that basis
-on tangents itself. Every function takes the context first and returns
-plain arrays: ``reproducing_element`` gives the coefficients of k_u and
-``class_period_vector`` the (a* | b*) coordinates of classes. All
-evaluation is batched: tangents of shape (...) give basis values of shape
-(..., g) and kernel values of shape (...); a scalar tangent gives a complex.
+A ``BergmanContext`` is always a curve's: ``context_from_periods(pd)``
+builds it from the period data in the a-normalized basis e, and it
+evaluates that basis on tangents itself. Every function takes the context
+first and returns plain arrays: ``reproducing_element`` gives the
+coefficients of k_u and ``class_period_vector`` the (a* | b*) coordinates
+of classes. All evaluation is batched: tangents of shape (...) give basis
+values of shape (..., g) and kernel values of shape (...); a scalar
+tangent gives a complex.
 """
 from __future__ import annotations
 
@@ -32,21 +32,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, SingularSystemError
-from .periods import PeriodData, TangentVector, normalized_differential_eval, raw_differential_eval
+from .periods import PeriodData, TangentVector, normalized_differential_eval
 from .symplectic import duality_maps, qstar_pairing
 
 
 @dataclass(frozen=True, eq=False)
 class BergmanContext:
-    """Gram data of a working basis of a curve's holomorphic differentials.
+    """Gram data of a curve's a-normalized holomorphic differentials.
 
-    The rows of ``W`` (g x g) express the working basis in the raw monomial
-    differentials; ``period_rows`` (g x 2g) holds their period vectors
-    W (A | B), and ``unitary_change`` is U with U gram U^H = I.
+    ``period_rows`` (g x 2g) holds their period vectors N (A | B) = (I | Z),
+    and ``unitary_change`` is U with U gram U^H = I.
     """
 
     pd: PeriodData
-    W: np.ndarray
     period_rows: np.ndarray
     gram: np.ndarray
     gram_inv: np.ndarray
@@ -57,30 +55,14 @@ class BergmanContext:
         return self.pd.g
 
     def eval_basis(self, u: TangentVector) -> np.ndarray:
-        """Working-basis values on tangents of shape (...), shape (..., g)."""
-        return raw_differential_eval(self.pd.curve, u) @ self.W.T
+        """Normalized-basis values on tangents of shape (...), shape (..., g)."""
+        return normalized_differential_eval(self.pd, u)
 
 
-def context_from_periods(pd: PeriodData, basis="normalized") -> BergmanContext:
-    """Bergman context for a curve in a chosen working basis.
-
-    ``basis`` is "normalized", "raw", or a g x g coefficient matrix W whose
-    rows express the working basis in the raw monomial differentials.
-    """
-    g = pd.g
-    if isinstance(basis, str):
-        if basis == "normalized":
-            W = pd.N
-        elif basis == "raw":
-            W = np.eye(g, dtype=complex)
-        else:
-            raise DimensionMismatchError(f"unknown basis spec {basis!r}")
-    else:
-        W = np.asarray(basis, dtype=complex)
-        if W.shape != (g, g):
-            raise DimensionMismatchError(f"basis matrix must be {g}x{g}, got {W.shape}")
-    period_rows = np.hstack([W @ pd.A, W @ pd.B])
-    gram = 1j * (period_rows @ duality_maps(g) @ period_rows.conj().T)
+def context_from_periods(pd: PeriodData) -> BergmanContext:
+    """Bergman context of a curve in the a-normalized basis, where gram = 2 Im Z."""
+    period_rows = np.hstack([pd.N @ pd.A, pd.N @ pd.B])
+    gram = 1j * (period_rows @ duality_maps(pd.g) @ period_rows.conj().T)
     gram = (gram + gram.conj().T) / 2
     try:
         chol = np.linalg.cholesky(gram)
@@ -88,7 +70,6 @@ def context_from_periods(pd: PeriodData, basis="normalized") -> BergmanContext:
         raise SingularSystemError("Gram matrix is not positive definite") from err
     return BergmanContext(
         pd=pd,
-        W=W,
         period_rows=period_rows,
         gram=gram,
         gram_inv=np.linalg.inv(gram),
@@ -97,10 +78,10 @@ def context_from_periods(pd: PeriodData, basis="normalized") -> BergmanContext:
 
 
 def class_period_vector(ctx: BergmanContext, coeffs, conjugated: bool = False) -> np.ndarray:
-    """Coordinates in (a* | b*) of classes given by working-basis coefficients (..., g).
+    """Coordinates in (a* | b*) of classes given by normalized-basis coefficients (..., g).
 
-    In the normalized basis a class maps to (coeffs | coeffs @ Z); conjugated
-    classes map to the entrywise conjugate. Shape (..., 2g).
+    A class maps to (coeffs | coeffs @ Z); conjugated classes map to the
+    entrywise conjugate. Shape (..., 2g).
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.shape[-1:] != (ctx.g,):
@@ -110,7 +91,7 @@ def class_period_vector(ctx: BergmanContext, coeffs, conjugated: bool = False) -
 
 
 def evaluate_class(ctx: BergmanContext, coeffs, u: TangentVector):
-    """Value on u of the class with working-basis coefficients (..., g)."""
+    """Value on u of the class with normalized-basis coefficients (..., g)."""
     return np.sum(np.asarray(coeffs, dtype=complex) * ctx.eval_basis(u), -1)
 
 
@@ -118,7 +99,7 @@ def hodge_product(ctx: BergmanContext, alpha, beta) -> complex:
     """h(alpha, beta) = i * integral of alpha wedge conj(beta), through the dual pairing.
 
     Arguments of length g are holomorphic coefficient vectors in the
-    working basis; arguments of length 2g are taken as period vectors of
+    normalized basis; arguments of length 2g are taken as period vectors of
     the class itself (mixed-type inputs).
     """
     return 1j * qstar_pairing(_period_vector(ctx, alpha), _period_vector(ctx, beta).conj())

@@ -8,8 +8,9 @@ Z = X + iY itself: a p^{1,0} tensor is a g x g matrix t mapping
 H10 = (I; Z^T) to H01 = conj(H10) (``p_tensor``), and its membership
 condition is the symmetry of Qstar(., t .), where Qstar on H10 x H01 is
 conj(Z) - Z^T = -2iY. ``bracket_identified`` computes the bracket
-(s, conj t) -> conj(t) s there. Z is a point of Siegel space, such as a
-period matrix that passed the Riemann certificate of ``periods``.
+(s, conj t) -> conj(t) s there. Z must be a point of Siegel space, such as
+a period matrix that passed the Riemann certificate of ``periods``; both
+functions check it with ``siegel_residuals`` against ``TOL_RIEMANN``.
 
 The endomorphism picture, with the complex structure J of Z, p^{1,0}
 inside End(V_C) and the bracket a matrix commutator, is the independent
@@ -20,8 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SpMembershipError
-from .symplectic import MATRIX_TOL
+from .errors import RiemannRelationError, SpMembershipError
+from .symplectic import MATRIX_TOL, TOL_RIEMANN, siegel_residuals
 
 
 def _qstar_pairing_matrix(Z: np.ndarray) -> np.ndarray:
@@ -30,11 +31,16 @@ def _qstar_pairing_matrix(Z: np.ndarray) -> np.ndarray:
 
 
 def p_tensor(Z, t) -> np.ndarray:
-    """t as a complex g x g array, checked to be a p^{1,0} tensor at Z: H10 -> H01."""
+    """t as a complex g x g array, checked to be a p^{1,0} tensor at a point Z of Siegel space."""
     Z, t = np.asarray(Z, dtype=complex), np.asarray(t, dtype=complex)
     g = len(Z)
     if Z.shape != (g, g) or t.shape != (g, g) or not (np.isfinite(Z).all() and np.isfinite(t).all()):
         raise SpMembershipError(f"expected finite {g}x{g} matrices, got shapes {Z.shape} and {t.shape}")
+    residual, min_eig = siegel_residuals(Z)
+    if residual > TOL_RIEMANN or min_eig <= 0:
+        raise RiemannRelationError(
+            f"Z is outside Siegel space (||Z - Z^T|| = {residual:.3e}, min eig Im Z = {min_eig:.3e})"
+        )
     qt = _qstar_pairing_matrix(Z) @ t
     res = np.linalg.norm(qt - qt.T)
     if res > MATRIX_TOL:

@@ -41,7 +41,7 @@ from .symplectic import qstar_pairing
 def schiffer_cup(ctx: BergmanContext, u: TangentVector, omega) -> np.ndarray:
     """Cup product of the variation at u with a holomorphic class: -2 pi w(u) conj(k_u).
 
-    Returns coefficients in the conjugated working basis (an antiholomorphic
+    Returns coefficients in the conjugated normalized basis (an antiholomorphic
     class), shape (..., g).
     """
     omega = np.asarray(omega, dtype=complex)

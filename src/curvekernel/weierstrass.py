@@ -17,13 +17,14 @@ Evaluation strategy:
    |exp(2 pi i r2/r1)| <= exp(-pi sqrt 3): eta(r1) = pi^2 E2 / (3 r1),
    G4 = (pi/r1)^4 E4 / 45, G6 = 2 (pi/r1)^6 E6 / 945. The Legendre relation
    eta(r1) r2 - eta(r2) r1 = 2 pi i gives eta(r2).
-4. The truncation doubles until the zeta increments zeta(z0 + lam) - zeta(z0)
-   for lam = r1, r2, r1 + r2, summed without translation into the cell,
-   match eta(lam) to ``CERTIFICATE_TOL`` relative to the zeta values; this
-   checks step 3, the Legendre relation included, where the sums are worst.
-   It stops with ``TruncationError`` at ``max_truncation``, or once a
-   doubling cuts the miss by less than ``_MIN_DOUBLING_GAIN``: the tail
-   falls like n^-6, so rounding sets such a miss, not truncation.
+4. The truncation doubles from ``FIRST_TRUNCATION`` until the zeta increments
+   zeta(z0 + lam) - zeta(z0) for lam = r1, r2, r1 + r2, summed without
+   translation into the cell, match eta(lam) to ``CERTIFICATE_TOL`` relative
+   to the zeta values; this checks step 3, the Legendre relation included,
+   where the sums are worst. It stops with ``TruncationError`` past
+   ``MAX_TRUNCATION``, or once a doubling cuts the miss by less than
+   ``_MIN_DOUBLING_GAIN``: the tail falls like n^-6, so rounding sets such a
+   miss, not truncation.
    On the unit-scale copy the miss is dimensionless, so a rescaled lattice
    stops at the same truncation.
 
@@ -45,8 +46,11 @@ CERTIFICATE_TOL = 1e-11
 POLE_EXCLUSION = 1e-8
 #: Supported generator lengths and scale s: within it s^6, s^-6 and the area are normal floats.
 LENGTH_RANGE = (1e-50, 1e50)
+#: The truncation step 4 starts at, and the largest it doubles to.
+FIRST_TRUNCATION, MAX_TRUNCATION = 64, 512
+#: Largest (|r1| + |r2|) / s whose points' z^7 stays finite; the sites' w^6 then does up to MAX_TRUNCATION.
+THIN_BOUND = float(np.finfo(float).max) ** (1 / 7)
 
-_FLOAT_MAX = float(np.finfo(float).max)
 _INCREMENT_OFFSETS = (0.137 + 0.071j, -0.083 + 0.191j, 0.211 - 0.057j)
 #: A doubling that divides the miss by less than this has reached the rounding floor.
 _MIN_DOUBLING_GAIN = 4.0
@@ -138,12 +142,12 @@ def _increment_miss(r1: complex, r2: complex, consts: np.ndarray, grid: np.ndarr
     return float((np.abs(zeta1 - zeta0 - eta) / (np.abs(zeta0) + np.abs(zeta1))).max())
 
 
-def build_lattice(omega1, omega2, truncation: int = 64, max_truncation: int = 512) -> LatticeContext:
+def build_lattice(omega1, omega2) -> LatticeContext:
     """Configure zeta/p evaluators for Z omega1 + Z omega2.
 
-    The truncation doubles from the requested value until the certificate
+    The truncation doubles from ``FIRST_TRUNCATION`` until the certificate
     of steps 3-4 in the module docstring holds; ``TruncationError`` is raised
-    past ``max_truncation`` or when a doubling cuts the miss by less than 4x.
+    past ``MAX_TRUNCATION`` or when a doubling cuts the miss by less than 4x.
     Generator lengths or a scale s outside ``LENGTH_RANGE`` raise ``LatticeError``,
     and so does a lattice too thin for the tail sums' powers to stay finite.
     """
@@ -161,13 +165,12 @@ def build_lattice(omega1, omega2, truncation: int = 64, max_truncation: int = 51
     s = min(abs(r1), abs(r2))
     _check_length("lattice scale s", s)
     u1, u2 = r1 / s, r2 / s
-    n, prev = max(8, int(truncation)), np.inf
+    n, prev = FIRST_TRUNCATION, np.inf
     # in units of s, tail_sums forms 2 z^7 for points |z| < 0.62 reach and w^6 for sites |w| <= n reach
     reach = abs(u1) + abs(u2)
-    bound = min(_FLOAT_MAX ** (1 / 7), _FLOAT_MAX ** (1 / 6) / max(n, max_truncation))
-    if reach > bound:
+    if reach > THIN_BOUND:
         raise LatticeError(
-            f"lattice too thin: (|r1| + |r2|) / s = {reach:.3e} exceeds {bound:.3e},"
+            f"lattice too thin: (|r1| + |r2|) / s = {reach:.3e} exceeds {THIN_BOUND:.3e},"
             " past which the tail sums overflow"
         )
     e2, e4, e6 = _eisenstein(u2 / u1)
@@ -179,7 +182,7 @@ def build_lattice(omega1, omega2, truncation: int = 64, max_truncation: int = 51
         miss = _increment_miss(u1, u2, consts, grid)
         if miss <= CERTIFICATE_TOL:
             break
-        if 2 * n > max_truncation or miss * _MIN_DOUBLING_GAIN > prev:
+        if 2 * n > MAX_TRUNCATION or miss * _MIN_DOUBLING_GAIN > prev:
             raise TruncationError(
                 f"zeta increments miss the quasi-periods by {miss:.3e} at truncation {n}"
                 f" (> {CERTIFICATE_TOL:g})"

@@ -94,9 +94,10 @@ def test_periods_span_the_lattice_of_the_invariants(roots, order):
     # G4 and G6 hardly move with tau on a thin lattice; tau itself against the AGM
     A, B = agm_periods(pd.curve)
     assert pd.Z[0, 0] == pytest.approx(B / A, rel=1e-12, abs=0)
-    # h(dx/y, dx/y) = i * integral of dz wedge conj(dz) = 2 area, with the lattice's orientation
-    ctx = bergman.context_from_periods(pd, basis="raw")
-    assert ctx.gram[0, 0] == pytest.approx(2 * lat.area, rel=1e-12, abs=0)
+    # h(dx/y, dx/y) = i * integral of dz wedge conj(dz) = 2 area, with the lattice's orientation;
+    # the normalized differential is dx/y divided by its a-period A
+    ctx = bergman.context_from_periods(pd)
+    assert ctx.gram[0, 0] * abs(pd.A[0, 0]) ** 2 == pytest.approx(2 * lat.area, rel=1e-12, abs=0)
     # dz = dx/y carries the tangent lam d/dx to (lam / y) d/dz
     u = periods.tangent(
         pd.curve, [0.3 + 0.4j, -1.7 + 0.2j, 2.5 - 0.6j, -0.4 - 1.5j], [1, -1, 1, -1], [1, 0.3 - 0.8j, -0.5j, 2 + 1j]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -20,6 +21,18 @@ G4_COEFFS = [0, 40320, -109584, 118124, -67284, 22449, -4536, 546, -36, 1]
 #: f with roots 1e34 k, k = 0..8: prod (x - e_l) passes 1e308 on the scale of the roots, where times
 #: 2^-997 (7.5e-301) |y| is below 1e7
 WIDE_COEFFS = list(np.polynomial.polynomial.polyfromroots(1e34 * np.arange(9)))
+#: One call of each of the five commands, for the tests of every report.
+REPORT_ARGV = pytest.mark.parametrize(
+    "argv",
+    [
+        ["periods", "--curve", G2_SPEC],
+        ["gram", "--curve", G2_SPEC],
+        ["bergman-eval", "--curve", G1_SPEC, "--u", "2.0,0.0,1,1.0,0.0", "--v", "0.5,0.7,-1,0.3,-0.2"],
+        ["verify", "theorem-a", "--curve", G2_SPEC, "--trials", "10"],
+        ["verify", "theorem-b", "--lattice", "1,0,0.3,1.1", "--samples", "5"],
+    ],
+    ids=["periods", "gram", "bergman-eval", "theorem-a", "theorem-b"],
+)
 
 
 def scaled_spec(coeffs, c):
@@ -224,6 +237,18 @@ class TestBergmanEvalCommand:
         assert code == 0
         assert json.loads(out)["pass"] is True
 
+    def test_spread_is_relative_on_small_values(self, capsys, monkeypatch):
+        # on the mirror curve the kernel values are near 5e-72: a doubled presentation must fail
+        def doubled(ctx, u, v, presentation, _fn=bergman.bergman_eval):
+            value = _fn(ctx, u, v, presentation)
+            return 2 * value if presentation == "normalized" else value
+
+        monkeypatch.setattr(bergman, "bergman_eval", doubled)
+        argv = ["--u", "8.9e34,1.2e34,1,1,0", "--v", "0.5e34,0.7e34,-1,0.3,-0.2"]
+        code, out, _ = run_cli(capsys, "bergman-eval", "--curve", scaled_spec(WIDE_COEFFS, 1e-300), *argv)
+        assert code == 1
+        assert json.loads(out)["pass"] is False
+
     # the kernel values overflow on purpose; no RuntimeWarning, one JSON error naming it
     def test_non_finite_report_is_input_error(self, capsys):
         code, out, err = run_cli(
@@ -296,6 +321,25 @@ class TestVerifyCommands:
         )
         assert code == 1
         assert json.loads(out)["pass"] is False
+
+    def test_theorem_a_residuals_are_relative(self, capsys, monkeypatch):
+        # on the mirror curve both sides are tiny; doubling rhs and the claim leaves each
+        # residual at half the largest side it compares, and the suite fails
+        def second_doubled(fn):
+            def wrapped(*args):
+                first, second = fn(*args)
+                return first, 2 * second
+
+            return wrapped
+
+        for name in ("theorem_a_check", "qstar_against_kv_check"):
+            monkeypatch.setattr(torelli, name, second_doubled(getattr(torelli, name)))
+        code, out, _ = run_cli(capsys, "verify", "theorem-a", "--curve", scaled_spec(WIDE_COEFFS, 1e-300))
+        assert code == 1
+        report = json.loads(out)
+        assert report["pass"] is False
+        assert report["residuals"]["max_residual"] == pytest.approx(0.5, rel=1e-6)
+        assert report["residuals"]["max_pairing_residual"] == pytest.approx(0.5, rel=1e-6)
 
     @pytest.mark.parametrize(
         "lattice",
@@ -477,17 +521,7 @@ class TestDeterminism:
 
 
 class TestReportEncoding:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["periods", "--curve", G2_SPEC],
-            ["gram", "--curve", G2_SPEC],
-            ["bergman-eval", "--curve", G1_SPEC, "--u", "2.0,0.0,1,1.0,0.0", "--v", "0.5,0.7,-1,0.3,-0.2"],
-            ["verify", "theorem-a", "--curve", G2_SPEC, "--trials", "10"],
-            ["verify", "theorem-b", "--lattice", "1,0,0.3,1.1", "--samples", "5"],
-        ],
-        ids=["periods", "gram", "bergman-eval", "theorem-a", "theorem-b"],
-    )
+    @REPORT_ARGV
     def test_report_is_one_compact_line(self, capsys, argv):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
@@ -504,6 +538,30 @@ class TestReportEncoding:
         m = np.asarray(value, dtype=complex)
         ref = [[[float(v.real), float(v.imag)] for v in row] for row in m] if m.ndim else [float(m.real), float(m.imag)]
         assert repr(cli._pairs(value)) == repr(ref)
+
+
+def option_dests(*command) -> set[str]:
+    """Dests the parsers of ``command`` define, its subcommand names included, less help and output format."""
+    parser, dests = cli.build_parser(), set()
+    for name in command:
+        (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        dests.add(sub.dest)
+        parser = sub.choices[name]
+    return (dests | {a.dest for a in parser._actions}) - {"help", "command", "format"}
+
+
+class TestReportInputs:
+    @REPORT_ARGV
+    def test_inputs_are_the_parsed_options(self, capsys, argv):
+        # every option of the command is echoed, defaults included, with the value it parsed to
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        inputs = json.loads(out)["inputs"]
+        command = argv[:2] if argv[0] == "verify" else argv[:1]
+        assert set(inputs) == option_dests(*command)
+        parsed = vars(cli.build_parser().parse_args(argv))
+        for name, value in inputs.items():
+            assert value == (json.loads(parsed[name]) if name == "curve" else parsed[name]), name
 
 
 class TestParser:

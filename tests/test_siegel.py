@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from curvekernel import siegel as sg
 from curvekernel import symplectic as sy
-from curvekernel.errors import SpMembershipError
+from curvekernel.errors import RiemannRelationError, SpMembershipError
 
 from conftest import random_siegel_point
 import siegel_oracle as so
@@ -212,6 +212,20 @@ class TestTransport:
         assert np.linalg.norm(xt @ cs1.H01) <= 1e-10
         coeffs, *_ = np.linalg.lstsq(cs1.H01, xt, rcond=None)
         assert np.linalg.norm(cs1.H01 @ coeffs - xt) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "z",
+    [[[1.0, 0.2], [0.2, 1.0]], [[1j, 0.3], [0.0, 1j]], np.diag([1j, -1j])],
+    ids=["real-symmetric", "asymmetric", "indefinite-imz"],
+)
+@pytest.mark.parametrize(
+    "call", [lambda z, t: sg.p_tensor(z, t), lambda z, t: sg.bracket_identified(z, t, t)], ids=["p_tensor", "bracket"]
+)
+def test_rejects_z_outside_siegel_space(z, call):
+    # the zero tensor passes the membership check at any Z, so only the check of Z can raise
+    with pytest.raises(RiemannRelationError, match="outside Siegel space"):
+        call(z, np.zeros((2, 2)))
 
 
 class TestEntryValidation:

@@ -122,21 +122,14 @@ class TestBuildLattice:
             ws.build_lattice(w1, w2)
 
     @pytest.mark.parametrize(
-        "w1,w2,max_truncation",
-        [
-            (1.0, 1e45j, 512),
-            (1.0, 1e49j, 512),
-            (1.0, 0.5 + 1e46j, 512),
-            (1e-30, 1e19j, 512),
-            # past 1e51 / n, the sites' w^6 overflows first
-            (1.0, 1e43j, 2**30),
-        ],
-        ids=["1e45", "1e49", "sheared-1e46", "1e-30-by-1e19", "w6"],
+        "w1,w2",
+        [(1.0, 1e45j), (1.0, 1e49j), (1.0, 0.5 + 1e46j), (1e-30, 1e19j)],
+        ids=["1e45", "1e49", "sheared-1e46", "1e-30-by-1e19"],
     )
-    def test_too_thin_rejected_before_any_sum(self, monkeypatch, w1, w2, max_truncation):
+    def test_too_thin_rejected_before_any_sum(self, monkeypatch, w1, w2):
         monkeypatch.setattr(ws, "tail_sums", None)  # a sum would raise TypeError
         with pytest.raises(LatticeError, match="too thin.*past which the tail sums overflow"):
-            ws.build_lattice(w1, w2, max_truncation=max_truncation)
+            ws.build_lattice(w1, w2)
 
     @pytest.mark.parametrize("w2", [1e44j, 0.5 + 1e44j])
     def test_thinnest_in_bound_ends_in_truncation_error(self, w2):
@@ -144,9 +137,11 @@ class TestBuildLattice:
         with pytest.raises(TruncationError, match="miss the quasi-periods"):
             ws.build_lattice(1.0, w2)
 
-    def test_truncation_cap(self):
-        with pytest.raises(TruncationError):
-            ws.build_lattice(1.0, 1j, truncation=8, max_truncation=8)
+    def test_truncation_cap(self, built_levels):
+        # (1, 300i) still gains more than 4x per doubling when MAX_TRUNCATION stops it
+        with pytest.raises(TruncationError, match="at truncation 512"):
+            ws.build_lattice(1.0, 300j)
+        assert built_levels == [64, 128, 256, 512]
 
     @pytest.fixture
     def built_levels(self, monkeypatch):
