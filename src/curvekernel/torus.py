@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoleError
+from .errors import DimensionMismatchError, PoleError
 from .weierstrass import LatticeContext, wp, wzeta
 
 #: ``random_samples`` keeps zp - zq this many lattice scales away from the lattice.
@@ -135,6 +135,8 @@ def theorem_b_check(
     """
     lat = ev.lattice
     scale = lat.scale
+    if len(samples) == 0:
+        raise DimensionMismatchError("theorem B needs at least one sample, got 0")
     zp, zq, lam_u, lam_v = np.asarray(samples, dtype=complex).T
     eta = eta_hat_eval(ev, zp, zq, lam_u, lam_v)
     # eta(q, p) equals eta(p, q) bit for bit, p being even, so the d-side 2 eta(p, q) - eta(q, p)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from curvekernel import bergman, periods, torus, weierstrass
-from curvekernel.errors import PoleError
+from curvekernel.errors import DimensionMismatchError, PoleError
 
 LATTICE_FIXTURES = ["square_lattice", "rect_lattice", "generic_lattice"]
 
@@ -68,6 +68,11 @@ class TestElementaryPotential:
     def test_pole_rejected(self, square_lattice):
         with pytest.raises(PoleError):
             torus.elementary_potential(square_lattice, 0.0)
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)], ids=str)
+    def test_empty_batch(self, generic_lattice, shape):
+        out = torus.elementary_potential(generic_lattice, np.empty(shape, dtype=complex))
+        assert out.shape == shape and out.dtype == complex
 
 
 class TestDbarPotential:
@@ -259,6 +264,11 @@ class TestBatchedTheoremB:
         )
         assert dist.min() >= 0.3 * min(abs(lat._r1), abs(lat._r2))
         assert np.abs(lam_u).min() >= 0.1 and np.abs(lam_v).min() >= 0.1
+
+    @pytest.mark.parametrize("samples", [[], np.empty((0, 4), dtype=complex)], ids=["list", "array"])
+    def test_zero_samples_rejected(self, square_lattice, samples):
+        with pytest.raises(DimensionMismatchError, match="at least one sample, got 0"):
+            torus.theorem_b_check(torus.EtaEvaluator(lattice=square_lattice), samples)
 
     def test_sample_on_lattice_translate_of_diagonal_rejected(self, square_lattice):
         zp = 0.1 + 0.2j
