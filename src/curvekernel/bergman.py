@@ -17,13 +17,15 @@ value at a pair of tangent vectors and the tests pin their agreement:
 ``presentation_spread`` is the largest disagreement among them.
 
 A ``BergmanContext`` is always a curve's: ``context_from_periods(pd)``
-builds it from the period data in the a-normalized basis e, and it
-evaluates that basis on tangents itself. Every function takes the context
-first and returns plain arrays: ``reproducing_element`` gives the
-coefficients of k_u and ``class_period_vector`` the (a* | b*) coordinates
-of classes. All evaluation is batched: tangents of shape (...) give basis
-values of shape (..., g) and kernel values of shape (...); a scalar
-tangent gives a complex.
+builds it from the period data in the a-normalized basis e. A point enters
+only through the values e(u) of that basis, which the caller evaluates once
+per batch of tangents, with the evaluator of ``periods``, and passes in; the
+value of a class with coefficients c at u is sum(c * e(u)). Every
+function takes the context first and returns plain arrays:
+``reproducing_element`` gives the coefficients of k_u and
+``class_period_vector`` the (a* | b*) coordinates of classes. All
+evaluation is batched: basis values of shape (..., g) give kernel values of
+shape (...); the values at one tangent give a complex.
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, SingularSystemError
-from .periods import PeriodData, TangentVector, normalized_differential_eval
+from .periods import PeriodData
 from .symplectic import duality_maps, qstar_pairing
 
 
@@ -54,10 +56,6 @@ class BergmanContext:
     def g(self) -> int:
         return self.pd.g
 
-    def eval_basis(self, u: TangentVector) -> np.ndarray:
-        """Normalized-basis values on tangents of shape (...), shape (..., g)."""
-        return normalized_differential_eval(self.pd, u)
-
 
 def context_from_periods(pd: PeriodData) -> BergmanContext:
     """Bergman context of a curve in the a-normalized basis, where gram = 2 Im Z."""
@@ -77,22 +75,15 @@ def context_from_periods(pd: PeriodData) -> BergmanContext:
     )
 
 
-def class_period_vector(ctx: BergmanContext, coeffs, conjugated: bool = False) -> np.ndarray:
+def class_period_vector(ctx: BergmanContext, coeffs) -> np.ndarray:
     """Coordinates in (a* | b*) of classes given by normalized-basis coefficients (..., g).
 
-    A class maps to (coeffs | coeffs @ Z); conjugated classes map to the
-    entrywise conjugate. Shape (..., 2g).
+    A class maps to (coeffs | coeffs @ Z), shape (..., 2g); its conjugate to the conjugate.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.shape[-1:] != (ctx.g,):
         raise DimensionMismatchError(f"expected {ctx.g} coefficients, got shape {coeffs.shape}")
-    vec = coeffs @ ctx.period_rows
-    return vec.conj() if conjugated else vec
-
-
-def evaluate_class(ctx: BergmanContext, coeffs, u: TangentVector):
-    """Value on u of the class with normalized-basis coefficients (..., g)."""
-    return np.sum(np.asarray(coeffs, dtype=complex) * ctx.eval_basis(u), -1)
+    return coeffs @ ctx.period_rows
 
 
 def hodge_product(ctx: BergmanContext, alpha, beta) -> complex:
@@ -114,28 +105,27 @@ def _period_vector(ctx: BergmanContext, vec) -> np.ndarray:
     return vec
 
 
-def reproducing_element(ctx: BergmanContext, u: TangentVector) -> np.ndarray:
+def reproducing_element(ctx: BergmanContext, eu) -> np.ndarray:
     """Coefficients (..., g) of k_u = conj(G^{-1} e(u)), so h(w, k_u) = w(u) for holomorphic w."""
-    return np.conj(ctx.eval_basis(u) @ ctx.gram_inv.T)
+    return np.conj(eu @ ctx.gram_inv.T)
 
 
-def bergman_eval(ctx: BergmanContext, u: TangentVector, v: TangentVector, presentation: str = "gram"):
-    """Kernel value at ((u, 0), (0, conj v)); equals k_v(u). It is conj(e(v)) M e(u)."""
+def bergman_eval(ctx: BergmanContext, eu, ev, presentation: str = "gram"):
+    """Kernel value at ((u, 0), (0, conj v)) from e(u), e(v); equals k_v(u). It is conj(e(v)) M e(u)."""
     if presentation == "gram":
-        M, eu, ev = ctx.gram_inv, ctx.eval_basis(u), ctx.eval_basis(v)
+        M = ctx.gram_inv
     elif presentation == "unitary":
         change = ctx.unitary_change.T
-        M, eu, ev = np.eye(ctx.g), ctx.eval_basis(u) @ change, ctx.eval_basis(v) @ change
+        M, eu, ev = np.eye(ctx.g), eu @ change, ev @ change
     elif presentation == "normalized":
         M = 0.5 * np.linalg.inv(ctx.pd.Z.imag)
-        eu, ev = normalized_differential_eval(ctx.pd, u), normalized_differential_eval(ctx.pd, v)
     else:
         raise DimensionMismatchError(f"unknown presentation {presentation!r}")
     return np.sum((ev.conj() @ M) * eu, -1)
 
 
-def three_presentation_values(ctx: BergmanContext, u: TangentVector, v: TangentVector) -> dict[str, complex]:
-    return {p: bergman_eval(ctx, u, v, p) for p in ("gram", "unitary", "normalized")}
+def three_presentation_values(ctx: BergmanContext, eu, ev) -> dict[str, complex]:
+    return {p: bergman_eval(ctx, eu, ev, p) for p in ("gram", "unitary", "normalized")}
 
 
 def presentation_spread(values: dict[str, complex]) -> float:

@@ -105,7 +105,8 @@ def cmd_bergman_eval(args) -> tuple[dict, dict, bool]:
     points = _parse_point(args.u), _parse_point(args.v)
     u, v = (periods.tangent(pd.curve, *point) for point in points)
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = bergman.three_presentation_values(ctx, u, v)
+        eu, ev = (periods.normalized_differential_eval(pd, t) for t in (u, v))
+        vals = bergman.three_presentation_values(ctx, eu, ev)
         residual = bergman.presentation_spread(vals)
     if not np.isfinite([*vals.values(), residual]).all():
         raise ValueError(f"kernel value overflows float64 at |lam_u| = {abs(u.lam):.3g}, |lam_v| = {abs(v.lam):.3g}")
@@ -122,12 +123,11 @@ def cmd_verify_theorem_a(args) -> tuple[dict, dict, bool]:
     worst = np.zeros(4)  # max |lhs - rhs|, max |lhs|, |rhs|, max |pairing - claim|, max |claim|
     for start in range(0, args.trials, _TRIAL_BLOCK):
         n = min(_TRIAL_BLOCK, args.trials - start)
-        u = _random_tangents(pd.curve, rng, n)
-        v = _random_tangents(pd.curve, rng, n)
+        eu, ev = (periods.normalized_differential_eval(pd, _random_tangents(pd.curve, rng, n)) for _ in range(2))
         omega = rng.standard_normal((n, pd.g)) + 1j * rng.standard_normal((n, pd.g))
         omega_prime = rng.standard_normal((n, pd.g)) + 1j * rng.standard_normal((n, pd.g))
-        lhs, rhs = torelli.theorem_a_check(ctx, omega, omega_prime, u, v)
-        pairing, claim = torelli.qstar_against_kv_check(ctx, omega_prime, v)
+        lhs, rhs = torelli.theorem_a_check(ctx, omega, omega_prime, eu, ev)
+        pairing, claim = torelli.qstar_against_kv_check(ctx, omega_prime, ev)
         worst = np.maximum(worst, [np.abs(a).max() for a in (lhs - rhs, [lhs, rhs], pairing - claim, claim)])
     residuals = {
         "max_residual": float(worst[0] / worst[1]),

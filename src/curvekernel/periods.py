@@ -36,11 +36,14 @@ lam; it may hold arrays of one shape (...), each point validated, and
 ``tangent`` broadcasts x, sheet and lam to that shape.
 ``raw_differential_eval`` and ``normalized_differential_eval`` give all g
 differential values at once, shape (..., g), as one Vandermonde row built
-by the same running product.
+by the same running product. A caller evaluates each batch of tangents
+once and passes the values to ``bergman`` and ``torelli``, which never
+see the curve or its tangents.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -109,6 +112,13 @@ def build_curve(f_coeffs) -> HyperellipticCurve:
     deg = len(coeffs) - 1
     if deg < 3:
         raise DegreeError(f"degree must be at least 3, got {deg}")
+    # polyroots divides by the leading coefficient; a quotient outside the normal range loses the roots
+    bad = [q for q in (c / coeffs[-1] for c in coeffs[:-1] if c) if not sys.float_info.min <= abs(q) < math.inf]
+    if bad:
+        raise RootConfigurationError(
+            f"f over its leading coefficient leaves the normal float range (a quotient is {bad[0]:.3g}), "
+            "so its roots cannot be computed"
+        )
     roots = np.polynomial.polynomial.polyroots(coeffs)
     scale = np.abs(roots).max()
     if np.abs(roots.imag).max() > _ROOT_IMAG_TOL * scale:

@@ -10,10 +10,11 @@ composes two such cups (the second conjugated), and the closed form
 serve as the test oracle.
 
 Every function takes the ``BergmanContext`` first and works on plain
-arrays: the variation at u is given by the tangent u, and the decomposable
-2-form p*w wedge q*conj(w') by the coefficients of w and w'. Everything is
-batched: classes of shape (..., g) and tangents of shape (...) give values of
-shape (...), so a suite checks all its trials at once.
+arrays: the variation at u is given by the basis values e(u), which the
+caller evaluates once per batch of tangents and passes in, and the
+decomposable 2-form p*w wedge q*conj(w') by the coefficients of w and w'.
+Everything is batched: classes and basis values of shape (..., g) give
+values of shape (...), so a suite checks all its trials at once.
 
 ``theorem_a_check`` evaluates both sides of the multiplication identity:
 the left side pulls the composed cup back through the dual pairing and the
@@ -26,19 +27,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bergman import (
-    BergmanContext,
-    bergman_eval,
-    class_period_vector,
-    evaluate_class,
-    reproducing_element,
-)
+from .bergman import BergmanContext, bergman_eval, class_period_vector, reproducing_element
 from .errors import DimensionMismatchError
-from .periods import TangentVector
 from .symplectic import qstar_pairing
 
 
-def schiffer_cup(ctx: BergmanContext, u: TangentVector, omega) -> np.ndarray:
+def schiffer_cup(ctx: BergmanContext, eu, omega) -> np.ndarray:
     """Cup product of the variation at u with a holomorphic class: -2 pi w(u) conj(k_u).
 
     Returns coefficients in the conjugated normalized basis (an antiholomorphic
@@ -47,23 +41,22 @@ def schiffer_cup(ctx: BergmanContext, u: TangentVector, omega) -> np.ndarray:
     omega = np.asarray(omega, dtype=complex)
     if omega.shape[-1:] != (ctx.g,):
         raise DimensionMismatchError(f"expected {ctx.g} coefficients, got {omega.shape}")
-    value = np.asarray(evaluate_class(ctx, omega, u))[..., None]
-    k_u = reproducing_element(ctx, u)
-    return -2 * np.pi * value * np.conj(k_u)
+    value = np.sum(omega * eu, -1, keepdims=True)
+    return -2 * np.pi * value * np.conj(reproducing_element(ctx, eu))
 
 
-def btilde_apply(ctx: BergmanContext, u: TangentVector, v: TangentVector, omega) -> np.ndarray:
+def btilde_apply(ctx: BergmanContext, eu, ev, omega) -> np.ndarray:
     """b(xi_u, conj xi_v) applied to a holomorphic class, by composed cups.
 
     The second cup acts through conjugation; the closed form
     4 pi^2 w(u) conj(k_u(v)) k_v is deliberately not used here.
     """
-    first = schiffer_cup(ctx, u, omega)
-    second = schiffer_cup(ctx, v, np.conj(first))
+    first = schiffer_cup(ctx, eu, omega)
+    second = schiffer_cup(ctx, ev, np.conj(first))
     return np.conj(second)
 
 
-def theorem_a_check(ctx: BergmanContext, omega, omega_prime, u: TangentVector, v: TangentVector):
+def theorem_a_check(ctx: BergmanContext, omega, omega_prime, eu, ev):
     """Both sides of the bracket/kernel multiplication identity at (u, conj v).
 
     The 2-form is the decomposable p*w wedge q*conj(w'), given by the
@@ -72,22 +65,19 @@ def theorem_a_check(ctx: BergmanContext, omega, omega_prime, u: TangentVector, v
     numerically through period vectors.
     rhs: -i * w(u) conj(w'(v)) * kernel(u, v).
     """
-    bt = btilde_apply(ctx, u, v, omega)
-    pv_omega_prime_bar = class_period_vector(ctx, omega_prime, conjugated=True)
-    pv_bt = class_period_vector(ctx, bt)
-    lhs = -qstar_pairing(pv_omega_prime_bar, pv_bt) / (4 * np.pi**2)
-    omega_u = evaluate_class(ctx, omega, u)
-    omega_prime_v = evaluate_class(ctx, omega_prime, v)
-    rhs = -1j * omega_u * np.conj(omega_prime_v) * bergman_eval(ctx, u, v)
+    bt = btilde_apply(ctx, eu, ev, omega)
+    pv_omega_prime_bar = class_period_vector(ctx, omega_prime).conj()
+    lhs = -qstar_pairing(pv_omega_prime_bar, class_period_vector(ctx, bt)) / (4 * np.pi**2)
+    omega_u = np.sum(np.asarray(omega, dtype=complex) * eu, -1)
+    omega_prime_v = np.sum(np.asarray(omega_prime, dtype=complex) * ev, -1)
+    rhs = -1j * omega_u * np.conj(omega_prime_v) * bergman_eval(ctx, eu, ev)
     return lhs, rhs
 
 
-def qstar_against_kv_check(ctx: BergmanContext, omega_prime, v: TangentVector):
+def qstar_against_kv_check(ctx: BergmanContext, omega_prime, ev):
     """Qstar(conj w', k_v) against the claim i conj(w'(v))."""
     omega_prime = np.asarray(omega_prime, dtype=complex)
-    k_v = reproducing_element(ctx, v)
-    pairing = qstar_pairing(
-        class_period_vector(ctx, omega_prime, conjugated=True), class_period_vector(ctx, k_v)
-    )
-    claim = 1j * np.conj(evaluate_class(ctx, omega_prime, v))
+    k_v = reproducing_element(ctx, ev)
+    pairing = qstar_pairing(class_period_vector(ctx, omega_prime).conj(), class_period_vector(ctx, k_v))
+    claim = 1j * np.conj(np.sum(omega_prime * ev, -1))
     return pairing, claim

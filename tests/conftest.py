@@ -74,6 +74,16 @@ def generic_lattice():
     return weierstrass.build_lattice(1.0, 0.3 + 1.1j)
 
 
+def basis(ctx, u):
+    """Values e(u) of the context's a-normalized basis on tangents u, shape (..., g)."""
+    return periods.normalized_differential_eval(ctx.pd, u)
+
+
+def class_value(coeffs, e):
+    """Value of the class with normalized-basis coefficients ``coeffs`` where the basis takes values e."""
+    return np.sum(np.asarray(coeffs, dtype=complex) * e, -1)
+
+
 def random_siegel_point(g, rng):
     """Random symmetric Z with positive definite imaginary part."""
     re = rng.standard_normal((g, g))

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import random_curve_tangent, random_siegel_point
+from conftest import basis, class_value, random_curve_tangent, random_siegel_point
 
 import siegel_oracle as oracle
 from curvekernel import bergman, periods, siegel, torelli, torus, weierstrass
@@ -70,17 +70,18 @@ def test_criterion_3_kernel_presentations(g1_ctx, g2_ctx):
     for ctx in (g1_ctx, g2_ctx):
         curve = ctx.pd.curve
         for _ in range(100):
-            u = random_curve_tangent(curve, rng)
-            v = random_curve_tangent(curve, rng)
-            worst_spread = max(worst_spread, bergman.presentation_spread(bergman.three_presentation_values(ctx, u, v)))
-            val = bergman.bergman_eval(ctx, u, v)
-            ku = bergman.reproducing_element(ctx, u)
-            kv = bergman.reproducing_element(ctx, v)
+            eu = basis(ctx, random_curve_tangent(curve, rng))
+            ev = basis(ctx, random_curve_tangent(curve, rng))
+            spread = bergman.presentation_spread(bergman.three_presentation_values(ctx, eu, ev))
+            worst_spread = max(worst_spread, spread)
+            val = bergman.bergman_eval(ctx, eu, ev)
+            ku = bergman.reproducing_element(ctx, eu)
+            kv = bergman.reproducing_element(ctx, ev)
             scale = max(1.0, abs(val))
             worst_chain = max(
                 worst_chain,
                 abs(val - bergman.hodge_product(ctx, kv, ku)) / scale,
-                abs(val - bergman.evaluate_class(ctx, kv, u)) / scale,
+                abs(val - class_value(kv, eu)) / scale,
             )
     ok = worst_spread <= 1e-10 and worst_chain <= 1e-10
     _report(
@@ -150,13 +151,13 @@ def test_criterion_5_theorem_a(g1_ctx, g2_ctx):
         curve = ctx.pd.curve
         g = ctx.g
         for _ in range(100):
-            u = random_curve_tangent(curve, rng)
-            v = random_curve_tangent(curve, rng)
+            eu = basis(ctx, random_curve_tangent(curve, rng))
+            ev = basis(ctx, random_curve_tangent(curve, rng))
             omega = rng.standard_normal(g) + 1j * rng.standard_normal(g)
             omega_prime = rng.standard_normal(g) + 1j * rng.standard_normal(g)
-            lhs, rhs = torelli.theorem_a_check(ctx, omega, omega_prime, u, v)
+            lhs, rhs = torelli.theorem_a_check(ctx, omega, omega_prime, eu, ev)
             worst_identity = max(worst_identity, abs(lhs - rhs))
-            pairing, claim = torelli.qstar_against_kv_check(ctx, omega_prime, v)
+            pairing, claim = torelli.qstar_against_kv_check(ctx, omega_prime, ev)
             worst_pairing = max(worst_pairing, abs(pairing - claim))
     elapsed = time.perf_counter() - start
     ok = worst_identity <= 1e-8 and worst_pairing <= 1e-9 and elapsed < 30.0
@@ -223,10 +224,11 @@ def test_criterion_7_convention_independence(g2_pd, g2_ctx):
     for _ in range(40):
         u = random_curve_tangent(curve, rng)
         v = random_curve_tangent(curve, rng)
-        ref = bergman.bergman_eval(g2_ctx, u, v)
+        ref = bergman.bergman_eval(g2_ctx, basis(g2_ctx, u), basis(g2_ctx, v))
         scale = max(1.0, abs(ref))
+        # each context evaluates the tangents in its own a-normalized basis
         for ctx in (ctx_perm, ctx_swap):
-            worst = max(worst, abs(bergman.bergman_eval(ctx, u, v) - ref) / scale)
+            worst = max(worst, abs(bergman.bergman_eval(ctx, basis(ctx, u), basis(ctx, v)) - ref) / scale)
     ok = worst <= 1e-9
     _report(7, ok, f"max kernel drift across conventions = {worst:.2e} (tol 1e-9)")
 
@@ -238,9 +240,9 @@ def test_criterion_8_cross_model_consistency(square_lattice, g1_pd):
     for _ in range(50):
         u = random_curve_tangent(g1_pd.curve, rng)
         v = random_curve_tangent(g1_pd.curve, rng)
-        curve_val = bergman.bergman_eval(curve_ctx, u, v)
-        (lam_u,) = periods.normalized_differential_eval(g1_pd, u)
-        (lam_v,) = periods.normalized_differential_eval(g1_pd, v)
+        eu, ev = periods.normalized_differential_eval(g1_pd, u), periods.normalized_differential_eval(g1_pd, v)
+        curve_val = bergman.bergman_eval(curve_ctx, eu, ev)
+        (lam_u,), (lam_v,) = eu, ev
         torus_val = torus.torus_kernel(square_lattice, lam_u, lam_v)
         worst = max(worst, abs(curve_val - torus_val) / max(1.0, abs(curve_val)))
     ok = worst <= 1e-8

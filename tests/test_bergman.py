@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import random_curve_tangent, random_tangent_batch
+from conftest import basis, class_value, random_curve_tangent, random_tangent_batch
 from numpy.testing import assert_allclose
 
 from curvekernel import bergman, periods, torus
@@ -58,7 +58,7 @@ class TestHodgeProduct:
         for _ in range(10):
             a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            pv_b_bar = bergman.class_period_vector(g2_ctx, b, conjugated=True)
+            pv_b_bar = bergman.class_period_vector(g2_ctx, b).conj()
             assert abs(bergman.hodge_product(g2_ctx, a, pv_b_bar)) <= 1e-9
 
 
@@ -69,20 +69,20 @@ class TestReproducingElement:
 
     def test_reproducing_identity(self, g2_curve, g2_ctx):
         rng = np.random.default_rng(2)
-        u = random_curve_tangent(g2_curve, rng)
-        k = bergman.reproducing_element(g2_ctx, u)
+        eu = basis(g2_ctx, random_curve_tangent(g2_curve, rng))
+        k = bergman.reproducing_element(g2_ctx, eu)
         for _ in range(20):
             omega = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             lhs = bergman.hodge_product(g2_ctx, omega, k)
-            rhs = bergman.evaluate_class(g2_ctx, omega, u)
+            rhs = class_value(omega, eu)
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
     def test_conjugate_symmetry(self, g2_curve, g2_ctx):
         rng = np.random.default_rng(3)
         u = random_curve_tangent(g2_curve, rng)
         v = random_curve_tangent(g2_curve, rng)
-        ku = bergman.reproducing_element(g2_ctx, u)
-        kv = bergman.reproducing_element(g2_ctx, v)
+        ku = bergman.reproducing_element(g2_ctx, basis(g2_ctx, u))
+        kv = bergman.reproducing_element(g2_ctx, basis(g2_ctx, v))
         huv = bergman.hodge_product(g2_ctx, ku, kv)
         hvu = bergman.hodge_product(g2_ctx, kv, ku)
         assert huv == pytest.approx(np.conj(hvu))
@@ -92,31 +92,32 @@ class TestBergmanEval:
     def test_g1_diagonal_value(self, g1_curve, g1_ctx):
         rng = np.random.default_rng(4)
         u = random_curve_tangent(g1_curve, rng)
-        (w,) = periods.normalized_differential_eval(g1_ctx.pd, u)
-        val = bergman.bergman_eval(g1_ctx, u, u)
+        eu = basis(g1_ctx, u)
+        (w,) = eu
+        val = bergman.bergman_eval(g1_ctx, eu, eu)
         assert val == pytest.approx(abs(w) ** 2 / 2, abs=1e-12)
 
     def test_hermitian_symmetry(self, g2_curve, g2_ctx):
         rng = np.random.default_rng(5)
         for _ in range(10):
-            u = random_curve_tangent(g2_curve, rng)
-            v = random_curve_tangent(g2_curve, rng)
-            assert bergman.bergman_eval(g2_ctx, u, v) == pytest.approx(
-                np.conj(bergman.bergman_eval(g2_ctx, v, u))
+            eu = basis(g2_ctx, random_curve_tangent(g2_curve, rng))
+            ev = basis(g2_ctx, random_curve_tangent(g2_curve, rng))
+            assert bergman.bergman_eval(g2_ctx, eu, ev) == pytest.approx(
+                np.conj(bergman.bergman_eval(g2_ctx, ev, eu))
             )
 
     def test_three_presentations_agree(self, g2_curve, g2_ctx):
         rng = np.random.default_rng(6)
         for _ in range(25):
-            u = random_curve_tangent(g2_curve, rng)
-            v = random_curve_tangent(g2_curve, rng)
-            assert bergman.presentation_spread(bergman.three_presentation_values(g2_ctx, u, v)) <= 1e-10
+            eu = basis(g2_ctx, random_curve_tangent(g2_curve, rng))
+            ev = basis(g2_ctx, random_curve_tangent(g2_curve, rng))
+            assert bergman.presentation_spread(bergman.three_presentation_values(g2_ctx, eu, ev)) <= 1e-10
 
     def test_kernel_positivity(self, g2_curve, g2_ctx):
         rng = np.random.default_rng(7)
         for _ in range(15):
-            u = random_curve_tangent(g2_curve, rng)
-            val = bergman.bergman_eval(g2_ctx, u, u)
+            eu = basis(g2_ctx, random_curve_tangent(g2_curve, rng))
+            val = bergman.bergman_eval(g2_ctx, eu, eu)
             assert abs(val.imag) <= 1e-12 * max(1.0, abs(val))
             assert val.real > 0
 
@@ -124,13 +125,13 @@ class TestBergmanEval:
         # kernel value == h(k_v, k_u) == k_v(u)
         rng = np.random.default_rng(8)
         for _ in range(10):
-            u = random_curve_tangent(g2_curve, rng)
-            v = random_curve_tangent(g2_curve, rng)
-            val = bergman.bergman_eval(g2_ctx, u, v)
-            ku = bergman.reproducing_element(g2_ctx, u)
-            kv = bergman.reproducing_element(g2_ctx, v)
+            eu = basis(g2_ctx, random_curve_tangent(g2_curve, rng))
+            ev = basis(g2_ctx, random_curve_tangent(g2_curve, rng))
+            val = bergman.bergman_eval(g2_ctx, eu, ev)
+            ku = bergman.reproducing_element(g2_ctx, eu)
+            kv = bergman.reproducing_element(g2_ctx, ev)
             via_h = bergman.hodge_product(g2_ctx, kv, ku)
-            via_eval = bergman.evaluate_class(g2_ctx, kv, u)
+            via_eval = class_value(kv, eu)
             assert abs(val - via_h) <= 1e-10 * max(1.0, abs(val))
             assert abs(val - via_eval) <= 1e-10 * max(1.0, abs(val))
 
@@ -147,10 +148,10 @@ class TestUnitaryBasis:
 
     def test_unitary_route_equals_gram_route(self, g2_curve, g2_ctx):
         rng = np.random.default_rng(9)
-        u = random_curve_tangent(g2_curve, rng)
-        v = random_curve_tangent(g2_curve, rng)
-        a = bergman.bergman_eval(g2_ctx, u, v, "unitary")
-        b = bergman.bergman_eval(g2_ctx, u, v, "gram")
+        eu = basis(g2_ctx, random_curve_tangent(g2_curve, rng))
+        ev = basis(g2_ctx, random_curve_tangent(g2_curve, rng))
+        a = bergman.bergman_eval(g2_ctx, eu, ev, "unitary")
+        b = bergman.bergman_eval(g2_ctx, eu, ev, "gram")
         assert a == pytest.approx(b)
 
 
@@ -165,8 +166,9 @@ class TestConventionIndependence:
         for _ in range(10):
             u = random_curve_tangent(g2_curve, rng)
             v = random_curve_tangent(g2_curve, rng)
-            a = bergman.bergman_eval(g2_ctx, u, v)
-            b = bergman.bergman_eval(ctx2, u, v)
+            # each context evaluates the tangents in its own a-normalized basis
+            a = bergman.bergman_eval(g2_ctx, basis(g2_ctx, u), basis(g2_ctx, v))
+            b = bergman.bergman_eval(ctx2, basis(ctx2, u), basis(ctx2, v))
             assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
 
 
@@ -193,19 +195,19 @@ class TestBatchedEvaluation:
         us, u = random_tangent_batch(ctx.pd.curve, rng, 64)
         vs, v = random_tangent_batch(ctx.pd.curve, rng, 64)
         for presentation in ("gram", "unitary", "normalized"):
-            batch = bergman.bergman_eval(ctx, u, v, presentation)
-            scalar = [bergman.bergman_eval(ctx, a, b, presentation) for a, b in zip(us, vs)]
+            batch = bergman.bergman_eval(ctx, basis(ctx, u), basis(ctx, v), presentation)
+            scalar = [bergman.bergman_eval(ctx, basis(ctx, a), basis(ctx, b), presentation) for a, b in zip(us, vs)]
             assert batch.shape == (64,)
             assert_allclose(batch, scalar, rtol=1e-13, atol=0)
 
     def test_reproducing_element(self, ctx_name, request):
         ctx = request.getfixturevalue(ctx_name)
         us, u = random_tangent_batch(ctx.pd.curve, np.random.default_rng(21), 64)
-        batch = bergman.reproducing_element(ctx, u)
+        batch = bergman.reproducing_element(ctx, basis(ctx, u))
         assert batch.shape == (64, ctx.g)
-        assert_allclose(batch, [bergman.reproducing_element(ctx, a) for a in us], rtol=1e-13, atol=0)
+        assert_allclose(batch, [bergman.reproducing_element(ctx, basis(ctx, a)) for a in us], rtol=1e-13, atol=0)
 
     def test_scalar_tangent_gives_complex(self, ctx_name, request):
         ctx = request.getfixturevalue(ctx_name)
-        u = random_curve_tangent(ctx.pd.curve, np.random.default_rng(22))
-        assert isinstance(bergman.bergman_eval(ctx, u, u), complex)
+        eu = basis(ctx, random_curve_tangent(ctx.pd.curve, np.random.default_rng(22)))
+        assert isinstance(bergman.bergman_eval(ctx, eu, eu), complex)

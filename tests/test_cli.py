@@ -239,8 +239,8 @@ class TestBergmanEvalCommand:
 
     def test_spread_is_relative_on_small_values(self, capsys, monkeypatch):
         # on the mirror curve the kernel values are near 5e-72: a doubled presentation must fail
-        def doubled(ctx, u, v, presentation, _fn=bergman.bergman_eval):
-            value = _fn(ctx, u, v, presentation)
+        def doubled(ctx, eu, ev, presentation, _fn=bergman.bergman_eval):
+            value = _fn(ctx, eu, ev, presentation)
             return 2 * value if presentation == "normalized" else value
 
         monkeypatch.setattr(bergman, "bergman_eval", doubled)
@@ -292,8 +292,9 @@ class TestVerifyCommands:
             pd = periods.compute_periods(periods.build_curve(scaled_coeffs))
             rng = np.random.default_rng(3)
             u, v = (cli._random_tangents(pd.curve, rng, 50) for _ in range(2))
+            eu, ev = periods.normalized_differential_eval(pd, u), periods.normalized_differential_eval(pd, v)
             omega, omega_prime = rng.standard_normal((2, 50, pd.g)) + 1j * rng.standard_normal((2, 50, pd.g))
-            sides.append(torelli.theorem_a_check(bergman.context_from_periods(pd), omega, omega_prime, u, v))
+            sides.append(torelli.theorem_a_check(bergman.context_from_periods(pd), omega, omega_prime, eu, ev))
         for scaled, ref in zip(sides[1], sides[0]):
             assert max_relative_gap(scaled, ref) <= 1e-12
         code, out, _ = run_cli(capsys, "verify", "theorem-a", "--curve", scaled_spec(coeffs, c), "--trials", "100")
@@ -496,6 +497,28 @@ class TestVerifyCommands:
             capsys, "verify", "theorem-a", "--curve", G1_SPEC, "--trials", "0"
         )
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, batch",
+    [
+        (["bergman-eval", "--curve", G2_SPEC, "--u", "0.5,0.3,1,1.0,0.0", "--v", "2.5,0.4,-1,0.3,0.2"], ()),
+        (["verify", "theorem-a", "--curve", G2_SPEC, "--trials", "100"], (100,)),
+    ],
+    ids=["bergman-eval", "theorem-a-one-block"],
+)
+def test_one_basis_evaluation_per_tangent_batch(capsys, monkeypatch, argv, batch):
+    # u and v are each evaluated once, as whole batches; every presentation and check reuses the values
+    calls = []
+
+    def counting(curve, u, _fn=periods.raw_differential_eval):
+        calls.append(np.shape(u.x))
+        return _fn(curve, u)
+
+    monkeypatch.setattr(periods, "raw_differential_eval", counting)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert calls == [batch, batch]
 
 
 class TestDeterminism:

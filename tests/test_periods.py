@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -54,6 +56,12 @@ def oracle_periods(curve, g):
     return A, B, np.linalg.solve(A, B)
 
 
+def scaled_roots_0_to_8(s, lead) -> list[float]:
+    """Ascending coefficients of lead * prod(x - s k), k = 0..8, each rounded once from its exact value."""
+    exact = [Fraction(int(c)) for c in np.polynomial.polynomial.polyfromroots(np.arange(9))]
+    return [float(c * Fraction(s) ** (9 - j) * Fraction(lead)) for j, c in enumerate(exact)]
+
+
 class TestBuildCurve:
     def test_cubic(self, g1_curve):
         assert g1_curve.g == 1
@@ -82,6 +90,21 @@ class TestBuildCurve:
     def test_non_finite_coefficients_rejected(self, bad):
         with pytest.raises(RootConfigurationError, match="non-finite"):
             periods.build_curve([0.0, -1.0, bad, 1.0])
+
+    @pytest.mark.parametrize(
+        "s, lead", [(1e38, 1e-280), (1e-40, 1e300), (1e-41, 1e307)], ids=["overflow", "subnormal", "underflow"]
+    )
+    def test_coefficient_quotients_outside_normal_range_rejected(self, s, lead):
+        # each coefficient of lead * prod(x - s k) is finite, but dividing by lead leaves the normal range
+        coeffs = scaled_roots_0_to_8(s, lead)
+        assert np.isfinite(coeffs).all()
+        with pytest.raises(RootConfigurationError, match="leaves the normal float range"):
+            periods.build_curve(coeffs)
+
+    @pytest.mark.parametrize("s, lead", [(1.0, 1e303), (1e34, 1e-300), (1e-38, 1e280)])
+    def test_coefficient_quotients_inside_normal_range_accepted(self, s, lead):
+        curve = periods.build_curve(scaled_roots_0_to_8(s, lead))
+        assert_allclose(curve.roots, s * np.arange(9), rtol=0, atol=1e-10 * s)
 
     @pytest.mark.parametrize("s", [1e-12, 1e-9, 1e9])
     def test_root_thresholds_are_scale_free(self, s):
@@ -337,7 +360,7 @@ class TestPeriodVector:
         assert_allclose(bergman.class_period_vector(g1_ctx, [1.0]), [1.0, 1j], atol=1e-10)
 
     def test_g1_conjugated(self, g1_ctx):
-        assert_allclose(bergman.class_period_vector(g1_ctx, [1.0], conjugated=True), [1.0, -1j], atol=1e-10)
+        assert_allclose(bergman.class_period_vector(g1_ctx, [1.0]).conj(), [1.0, -1j], atol=1e-10)
 
     def test_zero(self, g2_ctx):
         assert_allclose(bergman.class_period_vector(g2_ctx, np.zeros(2)), np.zeros(4))

@@ -248,7 +248,7 @@ class TestPsiQAsFunctional:
         from curvekernel import bergman
 
         cs = so.complex_structure_from_period_matrix(g2_ctx.pd.Z)
-        omega_bar = bergman.class_period_vector(g2_ctx, [0.4 - 0.9j, 1.1 + 0.2j], conjugated=True)
+        omega_bar = bergman.class_period_vector(g2_ctx, [0.4 - 0.9j, 1.1 + 0.2j]).conj()
         coeffs, *_ = np.linalg.lstsq(cs.H01, omega_bar, rcond=None)
         assert np.linalg.norm(cs.H01 @ coeffs - omega_bar) <= 1e-10 * np.linalg.norm(omega_bar)
         lam = bergman.class_period_vector(g2_ctx, [1.0, -0.5j])

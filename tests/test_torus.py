@@ -318,9 +318,9 @@ class TestCrossModelConsistency:
             lam_v = complex(*rng.uniform(-1, 1, 2))
             u = periods.tangent(g1_pd.curve, x_u, 1, lam_u)
             v = periods.tangent(g1_pd.curve, x_v, -1, lam_v)
-            curve_val = bergman.bergman_eval(curve_ctx, u, v)
             # transported coefficients: lam' = (normalized differential)(u)
-            (lam_u_t,) = periods.normalized_differential_eval(g1_pd, u)
-            (lam_v_t,) = periods.normalized_differential_eval(g1_pd, v)
+            eu, ev = periods.normalized_differential_eval(g1_pd, u), periods.normalized_differential_eval(g1_pd, v)
+            curve_val = bergman.bergman_eval(curve_ctx, eu, ev)
+            (lam_u_t,), (lam_v_t,) = eu, ev
             torus_val = torus.torus_kernel(square_lattice, lam_u_t, lam_v_t)
             assert abs(curve_val - torus_val) <= 1e-8 * max(1.0, abs(curve_val))
