@@ -6,7 +6,7 @@ Subpackage map:
 * ``siegel``: p^{1,0} tensors and their bracket at a period matrix Z, in the
   identified picture (the complex structure J and the endomorphism picture
   are its oracle, ``tests/siegel_oracle.py``).
-* ``periods``: hyperelliptic curves, tangents, period matrices, Riemann certificate.
+* ``periods``: curves as branch points, differentials at points, period matrices, Riemann certificate.
 * ``bergman``: Hodge product, reproducing elements, kernel evaluation on a curve.
 * ``torelli``: point-supported cup products and the bracket/kernel identity.
 * ``weierstrass`` / ``torus``: genus-one lattice functions, potentials, the

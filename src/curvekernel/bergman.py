@@ -19,13 +19,13 @@ value at a pair of tangent vectors and the tests pin their agreement:
 A ``BergmanContext`` is always a curve's: ``context_from_periods(pd)``
 builds it from the period data in the a-normalized basis e. A point enters
 only through the values e(u) of that basis, which the caller evaluates once
-per batch of tangents, with the evaluator of ``periods``, and passes in; the
-value of a class with coefficients c at u is sum(c * e(u)). Every
-function takes the context first and returns plain arrays:
+per batch of points (x, sheet, lam) with the evaluator of ``periods`` and
+passes in; the value of a class with coefficients c at u is sum(c * e(u)).
+Every function takes the context first and returns plain arrays:
 ``reproducing_element`` gives the coefficients of k_u and
 ``class_period_vector`` the (a* | b*) coordinates of classes. All
 evaluation is batched: basis values of shape (..., g) give kernel values of
-shape (...); the values at one tangent give a complex.
+shape (...); the values at one point give a complex.
 """
 from __future__ import annotations
 

@@ -102,14 +102,13 @@ def cmd_gram(args) -> tuple[dict, dict, bool]:
 def cmd_bergman_eval(args) -> tuple[dict, dict, bool]:
     pd = _curve_periods(args)
     ctx = bergman.context_from_periods(pd)
-    points = _parse_point(args.u), _parse_point(args.v)
-    u, v = (periods.tangent(pd.curve, *point) for point in points)
+    u, v = _parse_point(args.u), _parse_point(args.v)
     with np.errstate(over="ignore", invalid="ignore"):
-        eu, ev = (periods.normalized_differential_eval(pd, t) for t in (u, v))
+        eu, ev = (periods.normalized_differential_eval(pd, *point) for point in (u, v))
         vals = bergman.three_presentation_values(ctx, eu, ev)
         residual = bergman.presentation_spread(vals)
     if not np.isfinite([*vals.values(), residual]).all():
-        raise ValueError(f"kernel value overflows float64 at |lam_u| = {abs(u.lam):.3g}, |lam_v| = {abs(v.lam):.3g}")
+        raise ValueError(f"kernel value overflows float64 at |lam_u| = {abs(u[2]):.3g}, |lam_v| = {abs(v[2]):.3g}")
     scale = max(abs(val) for val in vals.values())
     results = {name: _pairs(val) for name, val in vals.items()}
     return results, {"presentation_spread": residual}, residual <= args.tol * scale
@@ -123,7 +122,7 @@ def cmd_verify_theorem_a(args) -> tuple[dict, dict, bool]:
     worst = np.zeros(4)  # max |lhs - rhs|, max |lhs|, |rhs|, max |pairing - claim|, max |claim|
     for start in range(0, args.trials, _TRIAL_BLOCK):
         n = min(_TRIAL_BLOCK, args.trials - start)
-        eu, ev = (periods.normalized_differential_eval(pd, _random_tangents(pd.curve, rng, n)) for _ in range(2))
+        eu, ev = (periods.normalized_differential_eval(pd, *_random_tangents(pd.curve, rng, n)) for _ in range(2))
         omega = rng.standard_normal((n, pd.g)) + 1j * rng.standard_normal((n, pd.g))
         omega_prime = rng.standard_normal((n, pd.g)) + 1j * rng.standard_normal((n, pd.g))
         lhs, rhs = torelli.theorem_a_check(ctx, omega, omega_prime, eu, ev)
@@ -136,8 +135,8 @@ def cmd_verify_theorem_a(args) -> tuple[dict, dict, bool]:
     return {"trials": args.trials}, residuals, residuals["max_residual"] <= args.tol
 
 
-def _random_tangents(curve, rng, n) -> periods.TangentVector:
-    """n tangents at points with Im x in [0.2, 1.2] and |lam| >= 0.1, drawn by rejection."""
+def _random_tangents(curve, rng, n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, sheet, lam) of n tangents at points with Im x in [0.2, 1.2] and |lam| >= 0.1, drawn by rejection."""
     lo, hi = curve.roots.min() - 1.0, curve.roots.max() + 1.0
     x, lam, sheet = np.empty(0, dtype=complex), np.empty(0, dtype=complex), np.empty(0, dtype=int)
     for _ in range(_MAX_DRAW_ROUNDS):
@@ -148,7 +147,7 @@ def _random_tangents(curve, rng, n) -> periods.TangentVector:
         keep = (np.abs(clam) >= 0.1) & ~periods.near_branch_point(curve, curve.sqrt_f(cx))
         x, lam, sheet = (np.concatenate([a, b[keep]]) for a, b in ((x, cx), (lam, clam), (sheet, csheet)))
         if len(x) == n:
-            return periods.tangent(curve, x, sheet, lam)
+            return x, sheet, lam
     raise CurveError(f"{_MAX_DRAW_ROUNDS} rounds of draws left {n - len(x)} of {n} tangents near a branch point")
 
 

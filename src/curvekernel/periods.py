@@ -21,24 +21,23 @@ The period kernel makes the same number of numpy calls at every genus. The
 factors |x - e_l| off each segment are one product over the root axis of a
 (d, d-1, order) distance array; the moments x^k / sqrt|f| are one running
 product (``np.multiply.accumulate``) over k, with no ``pow``; and (A | B) is
-the segment table times a fixed 0/2 cycle incidence matrix. On tangents,
+the segment table times a fixed 0/2 cycle incidence matrix. At a point,
 y = sqrt f(x) is sqrt|lead| * sqrt(sign(lead) prod (x - e_l)) over the sorted
 roots, the factors the kernel uses; the product runs in units of a power of
-two at least max|e_l|, so neither the leading coefficient nor the size of the
-roots can overflow it where y itself is finite.
+two at least max(|x|, max|e_l|), so neither the leading coefficient nor the
+size of x or of the roots can overflow it where y itself is finite.
 
 None of this bookkeeping is trusted blindly: every computed period matrix
 must pass the Riemann certificate ``symplectic.siegel_residuals`` (Z symmetric,
 Im Z positive definite) or ``compute_periods`` raises ``RiemannRelationError``.
 
-A ``TangentVector`` carries its point (x, sheet, y) and its coefficient
-lam; it may hold arrays of one shape (...), each point validated, and
-``tangent`` broadcasts x, sheet and lam to that shape.
-``raw_differential_eval`` and ``normalized_differential_eval`` give all g
-differential values at once, shape (..., g), as one Vandermonde row built
-by the same running product. A caller evaluates each batch of tangents
-once and passes the values to ``bergman`` and ``torelli``, which never
-see the curve or its tangents.
+A point is three arrays that broadcast to one shape (...): x, its sheet
+(+1 or -1) of sqrt f, and the coefficient lam of the tangent lam * d/dx.
+``raw_differential_eval`` checks the points and gives all g differential
+values at once, shape (..., g), as one Vandermonde row built by the same
+running product; ``normalized_differential_eval`` takes them to the
+a-normalized basis. A caller evaluates each batch of points once and passes
+the values to ``bergman`` and ``torelli``, which never see the curve.
 """
 from __future__ import annotations
 
@@ -70,32 +69,32 @@ _ROOT_IMAG_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class HyperellipticCurve:
-    """y^2 = f(x) with real squarefree f; coefficients are ascending in x."""
+    """y^2 = f(x) with real squarefree f = leading * prod_l (x - e_l), its roots e_l ascending."""
 
-    f_coeffs: tuple[float, ...]
     roots: np.ndarray
-    g: int
+    leading: float
 
     @property
     def degree(self) -> int:
-        return len(self.f_coeffs) - 1
+        return len(self.roots)
 
     @property
-    def leading(self) -> float:
-        return self.f_coeffs[-1]
+    def g(self) -> int:
+        return (self.degree - 1) // 2
 
     def sqrt_f(self, x):
         """sqrt|lead| * sqrt(sign(lead) prod_l (x - e_l)) over the sorted roots, elementwise in x.
 
-        This is the principal sqrt f(x), since sqrt|lead| > 0. The product runs in units
-        of 4^k >= max|e_l|, so it stays below (1 + |x| / 4^k)^d whatever the leading
-        coefficient and the size of the roots, and the unit comes back last as 2^(k d),
-        by ``ldexp``. Scaling by powers of two is exact: where the unscaled product does
-        not overflow, the value is the same to the bit.
+        This is the principal sqrt f(x), since sqrt|lead| > 0. At each x the product runs
+        in units of 4^k >= max(|x|, max|e_l|), so it stays below 2^d whatever the leading
+        coefficient and the size of x and of the roots, and the unit comes back last as
+        2^(k d), by ``ldexp``. Scaling by powers of two is exact: where the unscaled
+        product does not overflow, the value is the same to the bit.
         """
-        k = (math.frexp(max(-self.roots[0], self.roots[-1]))[1] + 1) // 2  # max|e_l| < 2^(2k)
-        unit = 0.25**k
-        prod = np.prod(np.asarray(x)[..., None] * unit - self.roots * unit, axis=-1)
+        x = np.asarray(x)
+        k = (np.frexp(np.maximum(abs(x), max(-self.roots[0], self.roots[-1])))[1] + 1) // 2
+        unit = np.ldexp(1.0, -2 * k)[..., None]
+        prod = np.prod(x[..., None] * unit - self.roots * unit, axis=-1)
         y = np.sqrt(abs(self.leading)) * np.sqrt(np.sign(self.leading) * prod)
         return np.ldexp(y.real, k * self.degree) + 1j * np.ldexp(y.imag, k * self.degree)
 
@@ -128,8 +127,7 @@ def build_curve(f_coeffs) -> HyperellipticCurve:
         raise RootConfigurationError(
             f"f is not squarefree at working precision (min root gap <= {_MIN_ROOT_GAP:g} max|e|)"
         )
-    g = (deg - 1) // 2
-    return HyperellipticCurve(f_coeffs=tuple(coeffs), roots=roots, g=g)
+    return HyperellipticCurve(roots=roots, leading=coeffs[-1])
 
 
 def near_branch_point(curve: HyperellipticCurve, y) -> np.ndarray:
@@ -137,18 +135,12 @@ def near_branch_point(curve: HyperellipticCurve, y) -> np.ndarray:
     return np.abs(y) <= BRANCH_EXCLUSION * np.sqrt(abs(curve.leading))
 
 
-@dataclass(frozen=True)
-class TangentVector:
-    """lam * d/dz at (x, y), y on the given sheet of sqrt f, z = x - x0 the chart; or a batch."""
+def raw_differential_eval(curve: HyperellipticCurve, x, sheet=1, lam=1.0) -> np.ndarray:
+    """Values lam x^(k-1) / y of the g differentials x^(k-1) dx / y at the points, shape (..., g).
 
-    x: complex | np.ndarray
-    sheet: int | np.ndarray
-    y: complex | np.ndarray
-    lam: complex | np.ndarray
-
-
-def tangent(curve: HyperellipticCurve, x, sheet=1, lam=1.0) -> TangentVector:
-    """Tangents lam * d/dz over x on the given sheets; x, sheet and lam broadcast to one shape."""
+    x, sheet and lam broadcast to one shape; each point is checked: x and lam finite,
+    sheet +1 or -1, y = sheet * sqrt f(x) finite and not near a branch point.
+    """
     lam = np.asarray(lam, dtype=complex)
     if not np.isfinite(lam).all():
         raise CurveError(f"lam must be finite, got {lam[~np.isfinite(lam)][0]}")
@@ -173,16 +165,10 @@ def tangent(curve: HyperellipticCurve, x, sheet=1, lam=1.0) -> TangentVector:
         raise BranchPointProximityError(
             f"|y| = {abs(y[near][0]):.3e} at x = {x[near][0]}: too close to a branch point"
         )
-    return TangentVector(x=x[()], sheet=sheet[()], y=y[()], lam=lam[()])
-
-
-def raw_differential_eval(curve: HyperellipticCurve, u: TangentVector) -> np.ndarray:
-    """Values lam x^(k-1) / y of the g differentials x^(k-1) dx / y on u, shape (..., g)."""
-    lead = np.asarray(u.lam / u.y, dtype=complex)
     # running product lam/y, lam/y * x, lam/y * x^2, ... along the last axis
-    terms = np.empty(lead.shape + (curve.g,), dtype=complex)
-    terms[..., 0] = lead
-    terms[..., 1:] = np.asarray(u.x)[..., None]
+    terms = np.empty(x.shape + (curve.g,), dtype=complex)
+    terms[..., 0] = lam / y
+    terms[..., 1:] = x[..., None]
     return np.multiply.accumulate(terms, axis=-1, out=terms)
 
 
@@ -288,9 +274,9 @@ class PeriodData:
         return self.curve.g
 
 
-def normalized_differential_eval(pd: PeriodData, u: TangentVector) -> np.ndarray:
-    """Values of the g a-normalized differentials on u, shape (..., g)."""
-    return raw_differential_eval(pd.curve, u) @ pd.N.T
+def normalized_differential_eval(pd: PeriodData, x, sheet=1, lam=1.0) -> np.ndarray:
+    """Values of the g a-normalized differentials at the points, shape (..., g)."""
+    return raw_differential_eval(pd.curve, x, sheet, lam) @ pd.N.T
 
 
 def transform_cycles(pd: PeriodData, S) -> PeriodData:

@@ -11,9 +11,9 @@ serve as the test oracle.
 
 Every function takes the ``BergmanContext`` first and works on plain
 arrays: the variation at u is given by the basis values e(u), which the
-caller evaluates once per batch of tangents and passes in, and the
-decomposable 2-form p*w wedge q*conj(w') by the coefficients of w and w'.
-Everything is batched: classes and basis values of shape (..., g) give
+caller evaluates once per batch of points (x, sheet, lam) and passes in,
+and the decomposable 2-form p*w wedge q*conj(w') by the coefficients of w
+and w'. Everything is batched: classes and basis values of shape (..., g) give
 values of shape (...), so a suite checks all its trials at once.
 
 ``theorem_a_check`` evaluates both sides of the multiplication identity:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from curvekernel import bergman, periods, weierstrass
+from curvekernel.errors import BranchPointProximityError
 
 # fixture curves used throughout: the square-lattice cubic and a genus-2 quintic
 G1_COEFFS = [0.0, -1.0, 0.0, 1.0]  # x^3 - x
@@ -75,8 +76,8 @@ def generic_lattice():
 
 
 def basis(ctx, u):
-    """Values e(u) of the context's a-normalized basis on tangents u, shape (..., g)."""
-    return periods.normalized_differential_eval(ctx.pd, u)
+    """Values e(u) of the context's a-normalized basis at the points u = (x, sheet, lam), shape (..., g)."""
+    return periods.normalized_differential_eval(ctx.pd, *u)
 
 
 def class_value(coeffs, e):
@@ -93,7 +94,7 @@ def random_siegel_point(g, rng):
 
 
 def random_curve_tangent(curve, rng, lam_min=0.1):
-    """A tangent vector at a random complex point off the branch locus."""
+    """(x, sheet, lam) of a tangent at a random complex point off the branch locus."""
     lo, hi = curve.roots.min() - 1.0, curve.roots.max() + 1.0
     while True:
         x = complex(rng.uniform(lo, hi), rng.uniform(0.2, 1.2))
@@ -102,15 +103,13 @@ def random_curve_tangent(curve, rng, lam_min=0.1):
             continue
         sheet = 1 if rng.random() < 0.5 else -1
         try:
-            return periods.tangent(curve, x, sheet, lam)
-        except Exception:
+            periods.raw_differential_eval(curve, x, sheet, lam)
+        except BranchPointProximityError:
             continue
+        return x, sheet, lam
 
 
 def random_tangent_batch(curve, rng, count):
-    """``count`` tangents from ``random_curve_tangent``, as a list and as one batched tangent."""
+    """``count`` tangents from ``random_curve_tangent``, as a list and as one (x, sheet, lam) of arrays."""
     scalars = [random_curve_tangent(curve, rng) for _ in range(count)]
-    batch = periods.tangent(
-        curve, [u.x for u in scalars], [u.sheet for u in scalars], [u.lam for u in scalars]
-    )
-    return scalars, batch
+    return scalars, tuple(np.array(a) for a in zip(*scalars))

@@ -240,7 +240,7 @@ def test_criterion_8_cross_model_consistency(square_lattice, g1_pd):
     for _ in range(50):
         u = random_curve_tangent(g1_pd.curve, rng)
         v = random_curve_tangent(g1_pd.curve, rng)
-        eu, ev = periods.normalized_differential_eval(g1_pd, u), periods.normalized_differential_eval(g1_pd, v)
+        eu, ev = periods.normalized_differential_eval(g1_pd, *u), periods.normalized_differential_eval(g1_pd, *v)
         curve_val = bergman.bergman_eval(curve_ctx, eu, ev)
         (lam_u,), (lam_v,) = eu, ev
         torus_val = torus.torus_kernel(square_lattice, lam_u, lam_v)

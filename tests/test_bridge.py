@@ -100,13 +100,12 @@ def test_periods_span_the_lattice_of_the_invariants(roots, order):
     ctx = bergman.context_from_periods(pd)
     assert ctx.gram[0, 0] * abs(pd.A[0, 0]) ** 2 == pytest.approx(2 * lat.area, rel=1e-12, abs=0)
     # dz = dx/y carries the tangent lam d/dx to (lam / y) d/dz
-    u = periods.tangent(
-        pd.curve, [0.3 + 0.4j, -1.7 + 0.2j, 2.5 - 0.6j, -0.4 - 1.5j], [1, -1, 1, -1], [1, 0.3 - 0.8j, -0.5j, 2 + 1j]
+    u = [0.3 + 0.4j, -1.7 + 0.2j, 2.5 - 0.6j, -0.4 - 1.5j], [1, -1, 1, -1], [1, 0.3 - 0.8j, -0.5j, 2 + 1j]
+    v = [1.1 - 0.7j, 0.2 + 1.3j, -0.9 - 0.3j, 3.0 + 0.5j], [-1, -1, 1, 1], [0.7 + 0.2j, 1, -1.2 + 0.4j, 0.6j]
+    # lam / y is the k = 0 value of the raw differentials, lam x^k / y
+    expected = torus.torus_kernel(
+        lat, periods.raw_differential_eval(pd.curve, *u)[:, 0], periods.raw_differential_eval(pd.curve, *v)[:, 0]
     )
-    v = periods.tangent(
-        pd.curve, [1.1 - 0.7j, 0.2 + 1.3j, -0.9 - 0.3j, 3.0 + 0.5j], [-1, -1, 1, 1], [0.7 + 0.2j, 1, -1.2 + 0.4j, 0.6j]
-    )
-    expected = torus.torus_kernel(lat, u.lam / u.y, v.lam / v.y)
     eu, ev = basis(ctx, u), basis(ctx, v)
     for presentation in ("gram", "unitary", "normalized"):
         got = bergman.bergman_eval(ctx, eu, ev, presentation)

@@ -187,7 +187,7 @@ class TestBergmanEvalCommand:
             ("nan,0.0,1,1.0,0.0", "CurveError"),
             ("2.0,0.0,1,nan,0.0", "CurveError"),
             ("2.0,0.0,1.7,1.0,0.0", "CurveKernelError"),
-            ("1e200,0.0,1,1.0,0.0", "CurveError"),
+            ("1e250,0.0,1,1.0,0.0", "CurveError"),
         ],
         ids=["nan-x", "nan-lam", "fractional-sheet", "overflowing-x"],
     )
@@ -292,7 +292,7 @@ class TestVerifyCommands:
             pd = periods.compute_periods(periods.build_curve(scaled_coeffs))
             rng = np.random.default_rng(3)
             u, v = (cli._random_tangents(pd.curve, rng, 50) for _ in range(2))
-            eu, ev = periods.normalized_differential_eval(pd, u), periods.normalized_differential_eval(pd, v)
+            eu, ev = periods.normalized_differential_eval(pd, *u), periods.normalized_differential_eval(pd, *v)
             omega, omega_prime = rng.standard_normal((2, 50, pd.g)) + 1j * rng.standard_normal((2, 50, pd.g))
             sides.append(torelli.theorem_a_check(bergman.context_from_periods(pd), omega, omega_prime, eu, ev))
         for scaled, ref in zip(sides[1], sides[0]):
@@ -511,9 +511,9 @@ def test_one_basis_evaluation_per_tangent_batch(capsys, monkeypatch, argv, batch
     # u and v are each evaluated once, as whole batches; every presentation and check reuses the values
     calls = []
 
-    def counting(curve, u, _fn=periods.raw_differential_eval):
-        calls.append(np.shape(u.x))
-        return _fn(curve, u)
+    def counting(curve, x, sheet=1, lam=1.0, _fn=periods.raw_differential_eval):
+        calls.append(np.shape(x))
+        return _fn(curve, x, sheet, lam)
 
     monkeypatch.setattr(periods, "raw_differential_eval", counting)
     code, _, _ = run_cli(capsys, *argv)

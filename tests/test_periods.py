@@ -125,82 +125,112 @@ class TestBuildCurve:
 
 class TestDifferentialEval:
     def test_direct_formula(self, g1_curve):
-        u = periods.tangent(g1_curve, 2.0, 1, 1.0)
-        assert periods.raw_differential_eval(g1_curve, u) == pytest.approx([1 / np.sqrt(6.0)])
+        assert periods.raw_differential_eval(g1_curve, 2.0, 1, 1.0) == pytest.approx([1 / np.sqrt(6.0)])
 
     def test_linear_in_lambda(self, g1_curve):
-        u0 = periods.tangent(g1_curve, 2.0, 1, 0.0)
-        assert periods.raw_differential_eval(g1_curve, u0)[0] == 0
+        assert periods.raw_differential_eval(g1_curve, 2.0, 1, 0.0)[0] == 0
 
     def test_sheet_flip_negates(self, g2_curve):
-        up = periods.tangent(g2_curve, 1.5 + 0.5j, 1, 1.0 - 2.0j)
-        um = periods.tangent(g2_curve, 1.5 + 0.5j, -1, 1.0 - 2.0j)
-        a = periods.raw_differential_eval(g2_curve, up)
-        b = periods.raw_differential_eval(g2_curve, um)
+        a = periods.raw_differential_eval(g2_curve, 1.5 + 0.5j, 1, 1.0 - 2.0j)
+        b = periods.raw_differential_eval(g2_curve, 1.5 + 0.5j, -1, 1.0 - 2.0j)
         assert a.shape == (2,)
         assert a == pytest.approx(-b)
 
     def test_branch_point_exclusion(self, g1_curve):
         with pytest.raises(BranchPointProximityError):
-            periods.tangent(g1_curve, 1.0 + 1e-14, 1, 1.0)
+            periods.raw_differential_eval(g1_curve, 1.0 + 1e-14, 1, 1.0)
 
     def test_batch_matches_scalar_rows(self, g2_curve):
         x = np.array([[1.5 + 0.5j, -0.3 + 1.1j], [4.2 + 0.2j, 2.5 - 0.7j]])
         sheet = np.array([[1, -1], [-1, 1]])
         lam = np.array([[1.0 - 2.0j, 0.4], [-0.2j, 0.9 + 0.1j]])
-        batch = periods.raw_differential_eval(g2_curve, periods.tangent(g2_curve, x, sheet, lam))
+        batch = periods.raw_differential_eval(g2_curve, x, sheet, lam)
         assert batch.shape == (2, 2, 2)
         for idx in np.ndindex(x.shape):
-            u = periods.tangent(g2_curve, x[idx], sheet[idx], lam[idx])
-            assert_allclose(batch[idx], periods.raw_differential_eval(g2_curve, u), rtol=1e-15)
+            scalar = periods.raw_differential_eval(g2_curve, x[idx], sheet[idx], lam[idx])
+            assert_allclose(batch[idx], scalar, rtol=1e-15)
 
     def test_branch_point_in_batch_rejected(self, g1_curve):
         # one point of the batch sits on the branch point x = 1
         with pytest.raises(BranchPointProximityError):
-            periods.tangent(g1_curve, np.array([2.0, 1.0 + 1e-14, 0.5 + 0.5j]), 1, 1.0)
+            periods.raw_differential_eval(g1_curve, np.array([2.0, 1.0 + 1e-14, 0.5 + 0.5j]), 1, 1.0)
 
     def test_bad_sheet_in_batch_rejected(self, g1_curve):
         with pytest.raises(DimensionMismatchError):
-            periods.tangent(g1_curve, np.array([2.0, 0.5 + 0.5j]), np.array([1, 0]), 1.0)
+            periods.raw_differential_eval(g1_curve, np.array([2.0, 0.5 + 0.5j]), np.array([1, 0]), 1.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.5, np.nan)])
     def test_non_finite_x_rejected(self, g1_curve, bad):
         with pytest.raises(CurveError):
-            periods.tangent(g1_curve, np.array([2.0, bad]))
+            periods.raw_differential_eval(g1_curve, np.array([2.0, bad]))
         with pytest.raises(CurveError):
-            periods.tangent(g1_curve, bad, 1, 1.0)
+            periods.raw_differential_eval(g1_curve, bad, 1, 1.0)
+
+    @pytest.mark.parametrize("x", [1e250, complex(0.5, -1e210)])
+    def test_overflowing_f_rejected(self, g1_curve, x):
+        # x is finite but y = sqrt(x^3 - x) is not
+        with pytest.raises(CurveError, match="f\\(x\\) overflows"):
+            periods.raw_differential_eval(g1_curve, np.array([2.0, x]))
 
     @pytest.mark.parametrize("x", [1e200, complex(0.5, -1e120)])
-    def test_overflowing_f_rejected(self, g1_curve, x):
-        # x is finite but f(x) = x^3 - x is not
-        with pytest.raises(CurveError):
-            periods.tangent(g1_curve, np.array([2.0, x]))
+    def test_large_x_with_finite_y(self, g1_curve, x):
+        # f(x) = x^3 - x overflows, while |y| is about 1e300 and 1e180
+        with mp.workdps(30):
+            expected = complex(1 / mp.sqrt(mp.mpc(x) ** 3 - mp.mpc(x)))
+        assert_allclose(periods.raw_differential_eval(g1_curve, x), [expected], rtol=1e-13, atol=0)
 
     def test_small_lead_on_large_roots(self):
         # f = 1e-300 prod (x - 1e34 k), k = 0..8: prod (x - e_l) passes 1e308 where |y| is below 1e7
         curve = periods.build_curve(1e-300 * np.polynomial.polynomial.polyfromroots(1e34 * np.arange(9)))
         x = np.array([8.9e34 + 1.2e34j, 0.5e34 + 0.7e34j, 4.2e34 - 0.3e34j, -1e34 - 2e34j])
-        u = periods.tangent(curve, x, [1, -1, 1, -1])
+        sheet = np.array([1, -1, 1, -1])
         with mp.workdps(30):
             expected = [
                 complex(mp.sqrt(mp.mpf(curve.leading) * mp.fprod(mp.mpc(xi) - mp.mpf(e) for e in curve.roots)))
                 for xi in x
             ]
-        assert_allclose(u.y * u.sheet, expected, rtol=1e-13, atol=0)
+        # the k = 0 value is 1 / y, y = sheet * sqrt f(x)
+        y = 1 / periods.raw_differential_eval(curve, x, sheet)[:, 0]
+        assert_allclose(y * sheet, expected, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("s, lead", [(1.0, 1e303), (1e34, 1e-300), (1e-38, 1e280)])
+    def test_against_mpmath_at_every_scale(self, s, lead):
+        # lead * prod (x - s k), k = 0..8, at points below, near and far above max|e| = 8 s, on both
+        # sheets; the farthest have |y| near 1e250, since |y| ~ sqrt(lead) |x|^4.5 far out
+        curve = periods.build_curve(scaled_roots_0_to_8(s, lead))
+        far = 10.0 ** ((250 - 0.5 * np.log10(lead)) * 2 / 9)
+        x = np.concatenate(
+            [s * np.array([0.3 + 0.2j, -0.5 - 0.7j, 8.9 + 1.2j, 4.2 - 0.3j, 3e3 + 1e3j]), far * np.array([1e-12j, -1e-6j, 1])]
+        )
+        sheet = np.array([1, -1, 1, -1, 1, -1, 1, -1])
+        lam = np.array([1.0, 0.3 - 0.8j, -0.5j, 2 + 1j, 0.7, -1.2 + 0.4j, 0.6j, 1.5])
+        expected, refused = [], []
+        with mp.workdps(30):
+            for xi, si, li in zip(x, sheet, lam):
+                y = si * mp.sqrt(mp.mpf(curve.leading) * mp.fprod(mp.mpc(xi) - mp.mpf(e) for e in curve.roots))
+                expected.append([complex(li * mp.mpc(xi) ** k / y) for k in range(curve.g)])
+                refused.append(abs(y) <= periods.BRANCH_EXCLUSION * mp.sqrt(curve.leading))
+        # the exclusion is |y| <= 1e-6 sqrt(lead): at s = 1e-38 every point on the scale of the roots
+        refused = np.array(refused)
+        assert refused.any() == (s < 1) and not refused[5:].any()
+        for xi in x[refused]:
+            with pytest.raises(BranchPointProximityError):
+                periods.raw_differential_eval(curve, xi)
+        values = periods.raw_differential_eval(curve, x[~refused], sheet[~refused], lam[~refused])
+        assert_allclose(values, np.array(expected)[~refused], rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf, complex(np.nan, 1.0)])
     def test_non_finite_lam_rejected(self, g1_curve, bad):
         with pytest.raises(CurveError):
-            periods.tangent(g1_curve, np.array([2.0, 0.5 + 0.5j]), 1, np.array([1.0, bad]))
+            periods.raw_differential_eval(g1_curve, np.array([2.0, 0.5 + 0.5j]), 1, np.array([1.0, bad]))
 
     def test_lam_that_does_not_broadcast_rejected(self, g1_curve):
         with pytest.raises(DimensionMismatchError):
-            periods.tangent(g1_curve, [2.0, 0.5 + 0.5j], 1, [1.0, 2.0, 3.0])
+            periods.raw_differential_eval(g1_curve, [2.0, 0.5 + 0.5j], 1, [1.0, 2.0, 3.0])
 
     def test_lam_broadcasts_with_x_and_sheet(self, g1_curve):
-        u = periods.tangent(g1_curve, 2.0, 1, [1.0, 2.0, 3.0])
-        assert np.shape(u.x) == np.shape(u.sheet) == np.shape(u.y) == np.shape(u.lam) == (3,)
-        values = periods.raw_differential_eval(g1_curve, u)
+        values = periods.raw_differential_eval(g1_curve, 2.0, 1, [1.0, 2.0, 3.0])
+        assert values.shape == (3, 1)
         assert_allclose(values[:, 0], np.array([1.0, 2.0, 3.0]) / np.sqrt(6.0))
 
 
@@ -339,17 +369,14 @@ class TestNormalizedBasis:
         assert np.linalg.norm(g2_pd.N @ g2_pd.A - np.eye(2)) <= 1e-10
 
     def test_g1_scalar_normalization(self, g1_curve, g1_pd):
-        u = periods.tangent(g1_curve, 2.0 + 1.0j, 1, 0.5)
-        (raw,) = periods.raw_differential_eval(g1_curve, u)
-        (normalized,) = periods.normalized_differential_eval(g1_pd, u)
+        (raw,) = periods.raw_differential_eval(g1_curve, 2.0 + 1.0j, 1, 0.5)
+        (normalized,) = periods.normalized_differential_eval(g1_pd, 2.0 + 1.0j, 1, 0.5)
         assert normalized == pytest.approx(raw / g1_pd.A[0, 0])
 
     def test_linearity(self, g2_curve, g2_pd):
         x = 1.4 + 0.8j
-        u1 = periods.tangent(g2_curve, x, 1, 1.0)
-        u2 = periods.tangent(g2_curve, x, 1, 2.5 - 1.0j)
-        a = periods.normalized_differential_eval(g2_pd, u1)
-        b = periods.normalized_differential_eval(g2_pd, u2)
+        a = periods.normalized_differential_eval(g2_pd, x, 1, 1.0)
+        b = periods.normalized_differential_eval(g2_pd, x, 1, 2.5 - 1.0j)
         assert b == pytest.approx((2.5 - 1.0j) * a)
 
 

@@ -316,10 +316,9 @@ class TestCrossModelConsistency:
             x_v = complex(rng.uniform(-2, 2), rng.uniform(0.3, 1.5))
             lam_u = complex(*rng.uniform(-1, 1, 2))
             lam_v = complex(*rng.uniform(-1, 1, 2))
-            u = periods.tangent(g1_pd.curve, x_u, 1, lam_u)
-            v = periods.tangent(g1_pd.curve, x_v, -1, lam_v)
             # transported coefficients: lam' = (normalized differential)(u)
-            eu, ev = periods.normalized_differential_eval(g1_pd, u), periods.normalized_differential_eval(g1_pd, v)
+            eu = periods.normalized_differential_eval(g1_pd, x_u, 1, lam_u)
+            ev = periods.normalized_differential_eval(g1_pd, x_v, -1, lam_v)
             curve_val = bergman.bergman_eval(curve_ctx, eu, ev)
             (lam_u_t,), (lam_v_t,) = eu, ev
             torus_val = torus.torus_kernel(square_lattice, lam_u_t, lam_v_t)
