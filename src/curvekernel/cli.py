@@ -20,12 +20,10 @@ import sys
 import numpy as np
 
 from . import bergman, periods, torelli, torus, weierstrass
-from .errors import CurveError, CurveKernelError
+from .errors import CurveKernelError
 
 #: Trials drawn and checked per array call of ``verify theorem-a``; bounds its memory.
 _TRIAL_BLOCK = 4096
-#: Rounds of rejection draws ``_random_tangents`` makes before it gives up on a curve.
-_MAX_DRAW_ROUNDS = 64
 #: Parsed names that pick the command or the output, not a number of the report.
 _NOT_INPUTS = ("command", "fn", "matrix", "format")
 
@@ -136,19 +134,15 @@ def cmd_verify_theorem_a(args) -> tuple[dict, dict, bool]:
 
 
 def _random_tangents(curve, rng, n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(x, sheet, lam) of n tangents at points with Im x in [0.2, 1.2] and |lam| >= 0.1, drawn by rejection."""
-    lo, hi = curve.roots.min() - 1.0, curve.roots.max() + 1.0
-    x, lam, sheet = np.empty(0, dtype=complex), np.empty(0, dtype=complex), np.empty(0, dtype=int)
-    for _ in range(_MAX_DRAW_ROUNDS):
-        m = n - len(x)
-        cx = rng.uniform(lo, hi, m) + 1j * rng.uniform(0.2, 1.2, m)
-        clam = rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m)
-        csheet = np.where(rng.random(m) < 0.5, 1, -1)
-        keep = (np.abs(clam) >= 0.1) & ~periods.near_branch_point(curve, curve.sqrt_f(cx))
-        x, lam, sheet = (np.concatenate([a, b[keep]]) for a, b in ((x, cx), (lam, clam), (sheet, csheet)))
-        if len(x) == n:
-            return x, sheet, lam
-    raise CurveError(f"{_MAX_DRAW_ROUNDS} rounds of draws left {n - len(x)} of {n} tangents near a branch point")
+    """(x, sheet, lam) of n tangents, drawn in one pass on the curve's length r = ``curve.half_width``.
+
+    Re x is uniform on [e_1 - r, e_d + r], Im x on [0.2 r, 1.2 r], |lam| on [0.1, 1], arg lam on [0, 2 pi), the
+    sheet on {1, -1}. Every x is at least 0.2 r from every root; ``periods.BRANCH_EXCLUSION`` < 0.2, so none is refused.
+    """
+    r = curve.half_width
+    x = rng.uniform(curve.roots[0] - r, curve.roots[-1] + r, n) + 1j * r * rng.uniform(0.2, 1.2, n)
+    lam = rng.uniform(0.1, 1.0, n) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, n))
+    return x, np.where(rng.random(n) < 0.5, 1, -1), lam
 
 
 def cmd_verify_theorem_b(args) -> tuple[dict, dict, bool]:

@@ -30,7 +30,7 @@ class RootConfigurationError(CurveError):
 
 
 class BranchPointProximityError(CurveError):
-    """Evaluation point too close to a branch point (|y| below exclusion radius)."""
+    """Evaluation point within ``periods.BRANCH_EXCLUSION`` half-widths r of a branch point."""
 
 
 class RiemannRelationError(CurveKernelError):

@@ -33,7 +33,8 @@ Im Z positive definite) or ``compute_periods`` raises ``RiemannRelationError``.
 
 A point is three arrays that broadcast to one shape (...): x, its sheet
 (+1 or -1) of sqrt f, and the coefficient lam of the tangent lam * d/dx.
-``raw_differential_eval`` checks the points and gives all g differential
+``raw_differential_eval`` checks the points (one within BRANCH_EXCLUSION r
+of a root is refused, r = (e_d - e_1) / 2) and gives all g differential
 values at once, shape (..., g), as one Vandermonde row built by the same
 running product; ``normalized_differential_eval`` takes them to the
 a-normalized basis. A caller evaluates each batch of points once and passes
@@ -59,7 +60,7 @@ from .errors import (
 )
 from .symplectic import TOL_RIEMANN, siegel_residuals
 
-#: |y| / sqrt|lead| at or below which a curve point is refused as too close to a branch point.
+#: A curve point within this times ``HyperellipticCurve.half_width`` of a root is refused.
 BRANCH_EXCLUSION = 1e-6
 #: Roots of f closer than this times max|e_i| make it non-squarefree at working precision.
 _MIN_ROOT_GAP = 1e-8
@@ -81,6 +82,11 @@ class HyperellipticCurve:
     @property
     def g(self) -> int:
         return (self.degree - 1) // 2
+
+    @property
+    def half_width(self) -> float:
+        """r = (e_d - e_1) / 2, the curve's one length: x -> a x + b takes it to |a| r, f -> c f keeps it."""
+        return (self.roots[-1] - self.roots[0]) / 2
 
     def sqrt_f(self, x):
         """sqrt|lead| * sqrt(sign(lead) prod_l (x - e_l)) over the sorted roots, elementwise in x.
@@ -130,16 +136,11 @@ def build_curve(f_coeffs) -> HyperellipticCurve:
     return HyperellipticCurve(roots=roots, leading=coeffs[-1])
 
 
-def near_branch_point(curve: HyperellipticCurve, y) -> np.ndarray:
-    """|y| <= BRANCH_EXCLUSION sqrt|lead|, elementwise; y / sqrt|lead| does not change under f -> c f."""
-    return np.abs(y) <= BRANCH_EXCLUSION * np.sqrt(abs(curve.leading))
-
-
 def raw_differential_eval(curve: HyperellipticCurve, x, sheet=1, lam=1.0) -> np.ndarray:
     """Values lam x^(k-1) / y of the g differentials x^(k-1) dx / y at the points, shape (..., g).
 
     x, sheet and lam broadcast to one shape; each point is checked: x and lam finite,
-    sheet +1 or -1, y = sheet * sqrt f(x) finite and not near a branch point.
+    sheet +1 or -1, y = sheet * sqrt f(x) finite, and x farther than BRANCH_EXCLUSION r from every root.
     """
     lam = np.asarray(lam, dtype=complex)
     if not np.isfinite(lam).all():
@@ -158,13 +159,11 @@ def raw_differential_eval(curve: HyperellipticCurve, x, sheet=1, lam=1.0) -> np.
         raise DimensionMismatchError(f"sheet must be +1 or -1, got {sheet[bad][0]}")
     with np.errstate(over="ignore", invalid="ignore"):
         y = sheet * curve.sqrt_f(x)
-    if not np.isfinite(y).all():
-        raise CurveError(f"f(x) overflows at x = {x[~np.isfinite(y)][0]}")
-    near = near_branch_point(curve, y)
+        if not np.isfinite(y).all():
+            raise CurveError(f"f(x) overflows at x = {x[~np.isfinite(y)][0]}")
+        near = np.abs(x[..., None] - curve.roots).min(axis=-1) <= BRANCH_EXCLUSION * curve.half_width
     if near.any():
-        raise BranchPointProximityError(
-            f"|y| = {abs(y[near][0]):.3e} at x = {x[near][0]}: too close to a branch point"
-        )
+        raise BranchPointProximityError(f"|y| = {abs(y[near][0]):.3e} at x = {x[near][0]}: too close to a branch point")
     # running product lam/y, lam/y * x, lam/y * x^2, ... along the last axis
     terms = np.empty(x.shape + (curve.g,), dtype=complex)
     terms[..., 0] = lam / y

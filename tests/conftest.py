@@ -3,8 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from curvekernel import bergman, periods, weierstrass
-from curvekernel.errors import BranchPointProximityError
+from curvekernel import bergman, cli, periods, weierstrass
 
 # fixture curves used throughout: the square-lattice cubic and a genus-2 quintic
 G1_COEFFS = [0.0, -1.0, 0.0, 1.0]  # x^3 - x
@@ -93,20 +92,10 @@ def random_siegel_point(g, rng):
     return re + 1j * (m @ m.T + g * np.eye(g))
 
 
-def random_curve_tangent(curve, rng, lam_min=0.1):
-    """(x, sheet, lam) of a tangent at a random complex point off the branch locus."""
-    lo, hi = curve.roots.min() - 1.0, curve.roots.max() + 1.0
-    while True:
-        x = complex(rng.uniform(lo, hi), rng.uniform(0.2, 1.2))
-        lam = complex(*rng.uniform(-1, 1, size=2))
-        if abs(lam) < lam_min:
-            continue
-        sheet = 1 if rng.random() < 0.5 else -1
-        try:
-            periods.raw_differential_eval(curve, x, sheet, lam)
-        except BranchPointProximityError:
-            continue
-        return x, sheet, lam
+def random_curve_tangent(curve, rng):
+    """(x, sheet, lam) of one tangent drawn as ``verify theorem-a`` draws them, as Python scalars."""
+    x, sheet, lam = cli._random_tangents(curve, rng, 1)
+    return complex(x[0]), int(sheet[0]), complex(lam[0])
 
 
 def random_tangent_batch(curve, rng, count):

@@ -21,6 +21,8 @@ G4_COEFFS = [0, 40320, -109584, 118124, -67284, 22449, -4536, 546, -36, 1]
 #: f with roots 1e34 k, k = 0..8: prod (x - e_l) passes 1e308 on the scale of the roots, where times
 #: 2^-997 (7.5e-301) |y| is below 1e7
 WIDE_COEFFS = list(np.polynomial.polynomial.polyfromroots(1e34 * np.arange(9)))
+#: (s, c) of the curves c prod (x - s k), k = 0..8, that the CI theorem-A step runs
+SCALED_0_TO_8 = [(1, 1e303), (1e34, 1e-300), (1e-38, 1e280)]
 #: One call of each of the five commands, for the tests of every report.
 REPORT_ARGV = pytest.mark.parametrize(
     "argv",
@@ -219,7 +221,7 @@ class TestBergmanEvalCommand:
         ids=["1e-20", "1e+20", "roots-0..8-2^1006"],
     )
     def test_f_times_constant_gives_the_same_kernel(self, capsys, coeffs, c, u):
-        # the branch-point exclusion is measured in units of sqrt|lead|, so x = 2 stays usable
+        # the branch-point exclusion is a distance in half-widths of the roots, which c does not move
         argv = ["--u", u, "--v", "0.5,0.7,-1,0.3,-0.2"]
         code, out, _ = run_cli(capsys, "bergman-eval", "--curve", scaled_spec(coeffs, c), *argv)
         assert code == 0
@@ -286,7 +288,7 @@ class TestVerifyCommands:
         ids=["1e-20", "1e+20", "roots-0..8-2^1006", "roots-1e34k-2^-997"],
     )
     def test_theorem_a_under_f_times_constant(self, capsys, coeffs, c):
-        # the sampler rejects the same draws for c f as for f, so both sides match the c = 1 run
+        # c f has the roots of f, so the sampler draws the same trials, and both sides match the c = 1 run
         sides = []
         for scaled_coeffs in (coeffs, [c * a for a in coeffs]):
             pd = periods.compute_periods(periods.build_curve(scaled_coeffs))
@@ -301,12 +303,26 @@ class TestVerifyCommands:
         assert code == 0
         assert json.loads(out)["pass"] is True
 
-    def test_tangent_draws_are_capped(self, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "coeffs",
+        [G1_COEFFS, [0, 24, -50, 35, -10, 1], [1e-20 * a for a in G1_COEFFS]]
+        + [list(c * np.polynomial.polynomial.polyfromroots(s * np.arange(9))) for s, c in SCALED_0_TO_8],
+        ids=["x^3-x", "g2-quintic", "x^3-x-1e-20", "roots-0..8-1e303", "roots-1e34k-1e-300", "roots-1e-38k-1e280"],
+    )
+    def test_tangent_draws_are_never_refused(self, coeffs):
+        # Im x >= 0.2 r keeps every draw 0.2 r from the roots, outside the exclusion of 1e-6 r
+        curve = periods.build_curve(coeffs)
+        x, sheet, lam = cli._random_tangents(curve, np.random.default_rng(0), 4096)
+        assert np.abs(x[:, None] - curve.roots).min() >= 0.2 * curve.half_width
+        assert periods.raw_differential_eval(curve, x, sheet, lam).shape == (4096, curve.g)
+
+    def test_refused_draw_is_input_error(self, capsys, monkeypatch):
+        # the draws are never retried: a refusal comes from the evaluator and ends the command
         monkeypatch.setattr(periods, "BRANCH_EXCLUSION", 1e300)
         code, out, err = run_cli(capsys, "verify", "theorem-a", "--curve", G1_SPEC, "--trials", "5")
         assert code == 2
         assert out == ""
-        assert json.loads(err)["error"].startswith("CurveError:")
+        assert json.loads(err)["error"].startswith("BranchPointProximityError:")
 
     def test_theorem_a_unreachable_tolerance_fails(self, capsys):
         code, out, _ = run_cli(

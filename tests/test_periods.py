@@ -209,15 +209,29 @@ class TestDifferentialEval:
             for xi, si, li in zip(x, sheet, lam):
                 y = si * mp.sqrt(mp.mpf(curve.leading) * mp.fprod(mp.mpc(xi) - mp.mpf(e) for e in curve.roots))
                 expected.append([complex(li * mp.mpc(xi) ** k / y) for k in range(curve.g)])
-                refused.append(abs(y) <= periods.BRANCH_EXCLUSION * mp.sqrt(curve.leading))
-        # the exclusion is |y| <= 1e-6 sqrt(lead): at s = 1e-38 every point on the scale of the roots
-        refused = np.array(refused)
-        assert refused.any() == (s < 1) and not refused[5:].any()
-        for xi in x[refused]:
-            with pytest.raises(BranchPointProximityError):
-                periods.raw_differential_eval(curve, xi)
-        values = periods.raw_differential_eval(curve, x[~refused], sheet[~refused], lam[~refused])
-        assert_allclose(values, np.array(expected)[~refused], rtol=1e-13, atol=0)
+                dist = min(abs(mp.mpc(xi) - mp.mpf(e)) for e in curve.roots)
+                refused.append(dist <= periods.BRANCH_EXCLUSION * mp.mpf(curve.half_width))
+        # the exclusion is a distance in half-widths r = 4 s of the roots: no point is near one at any scale
+        assert not any(refused)
+        values = periods.raw_differential_eval(curve, x, sheet, lam)
+        assert_allclose(values, np.array(expected), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("s, lead", [(1.0, 1e303), (1e34, 1e-300), (1e-38, 1e280)])
+    def test_branch_exclusion_in_half_widths(self, s, lead):
+        # points rho r e^(i phi) off each computed root: refused exactly when rho <= 1e-6, at every scale
+        curve = periods.build_curve(scaled_roots_0_to_8(s, lead))
+        r = curve.half_width
+        phis = np.array([0.3, 1.9, 3.5, 5.1])
+        pattern = []
+        for rho in (5e-7, 2e-6):
+            for e in curve.roots:
+                for x in e + rho * r * np.exp(1j * phis):
+                    try:
+                        periods.raw_differential_eval(curve, x)
+                        pattern.append(False)
+                    except BranchPointProximityError:
+                        pattern.append(True)
+        assert pattern == [True] * 36 + [False] * 36
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf, complex(np.nan, 1.0)])
     def test_non_finite_lam_rejected(self, g1_curve, bad):
