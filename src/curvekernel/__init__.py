@@ -7,7 +7,9 @@ Subpackage map:
   identified picture (the complex structure J and the endomorphism picture
   are its oracle, ``tests/siegel_oracle.py``).
 * ``periods``: curves as branch points, differentials at points, period matrices, Riemann certificate.
-* ``bergman``: Hodge product, reproducing elements, kernel evaluation on a curve.
+* ``bergman``: the Gram matrix of the Hodge product, reproducing elements and
+  the kernel value on a curve (its other presentations and the Hodge product
+  of arbitrary classes are the oracle ``tests/bergman_oracle.py``).
 * ``torelli``: point-supported cup products and the bracket/kernel identity.
 * ``weierstrass`` / ``torus``: genus-one lattice functions, potentials, the
   closed-form torus kernel and the exactness check for the connecting form.

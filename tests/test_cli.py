@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bergman_oracle as oracle
 from curvekernel import bergman, cli, periods, torelli
 
 G1_SPEC = '{"type": "hyperelliptic", "f_coeffs": [0, -1, 0, 1]}'
@@ -131,10 +132,14 @@ class TestPeriodsCommand:
 
 class TestGramCommand:
     def test_identity_residual(self, capsys):
+        # the report prints the certificate of periods; its Gram matrix is 2 Im Z of its own Z
         code, out, _ = run_cli(capsys, "gram", "--curve", G2_SPEC)
         assert code == 0
         report = json.loads(out)
-        assert report["residuals"]["gram_vs_2imZ"] <= 1e-9
+        _, ref, _ = run_cli(capsys, "periods", "--curve", G2_SPEC)
+        assert report["residuals"] == json.loads(ref)["residuals"]
+        gram, Z = (np.array(report["results"][key]) @ [1, 1j] for key in ("gram", "Z"))
+        assert np.linalg.norm(gram - 2 * Z.imag) <= 1e-9
 
 
 class TestBergmanEvalCommand:
@@ -152,22 +157,35 @@ class TestBergmanEvalCommand:
         assert code == 0
         report = json.loads(out)
         assert report["pass"] is True
-        assert report["residuals"]["presentation_spread"] <= 1e-10
-        assert set(report["results"]) == {"gram", "unitary", "normalized"}
+        _, ref, _ = run_cli(capsys, "periods", "--curve", G1_SPEC)
+        assert report["residuals"] == json.loads(ref)["residuals"]
+        assert set(report["results"]) == {"gram"}
+        # the one value agrees with the oracle's three presentations at the same points
+        pd = periods.compute_periods(periods.build_curve(G1_COEFFS))
+        eu, ev = (periods.normalized_differential_eval(pd, *cli._parse_point(report["inputs"][p])) for p in "uv")
+        values = oracle.presentation_values(bergman.context_from_periods(pd), eu, ev)
+        assert oracle.presentation_spread({**values, "report": complex(*report["results"]["gram"])}) <= 1e-10
 
-    def test_three_bergman_eval_calls(self, capsys, monkeypatch):
+    def test_one_bergman_eval_call(self, capsys, monkeypatch):
         calls = []
 
-        def counting(*args, _fn=bergman.bergman_eval, **kwargs):
-            calls.append(args[-1] if len(args) > 3 else kwargs.get("presentation", "gram"))
-            return _fn(*args, **kwargs)
+        def counting(*args, _fn=bergman.bergman_eval):
+            calls.append(args)
+            return _fn(*args)
 
         monkeypatch.setattr(bergman, "bergman_eval", counting)
         code, _, _ = run_cli(
             capsys, "bergman-eval", "--curve", G2_SPEC, "--u", "0.5,0.3,1,1.0,0.0", "--v", "2.5,0.4,-1,0.3,0.2"
         )
         assert code == 0
-        assert sorted(calls) == ["gram", "normalized", "unitary"]
+        assert len(calls) == 1
+
+    def test_has_no_tol(self, capsys):
+        # the report has no residual of its own for a tolerance to govern
+        argv = ["--u", "2.0,0.0,1,1.0,0.0", "--v", "0.5,0.7,-1,0.3,-0.2", "--tol", "1e-10"]
+        with pytest.raises(SystemExit):
+            cli.main(["bergman-eval", "--curve", G1_SPEC, *argv])
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
     def test_branch_point_is_input_error(self, capsys):
         code, _, err = run_cli(
@@ -201,55 +219,35 @@ class TestBergmanEvalCommand:
         assert out == ""
         assert json.loads(err)["error"].startswith(error + ":")
 
-    def test_pass_is_relative_to_kernel_scale(self, capsys):
-        # values near 6.7e9: a spread of about 1e-6 is 16 digits of agreement
-        code, out, _ = run_cli(
-            capsys, "bergman-eval", "--curve", G1_SPEC, "--u", "2.0,0.0,1,1e6,0.0", "--v", "0.5,0.7,-1,1e6,-0.2"
-        )
-        assert code == 0
-        report = json.loads(out)
-        scale = max(abs(complex(*val)) for val in report["results"].values())
-        assert report["residuals"]["presentation_spread"] <= 1e-10 * scale
+    def test_value_scales_with_the_tangents(self, capsys):
+        # the kernel is linear in lam_u and antilinear in lam_v: values near 6.7e9 are lam_u conj(lam_v) times the unit one
+        values = []
+        for lam_u, lam_v in (("1,0", "1,0"), ("1e6,0.0", "1e6,-0.2")):
+            code, out, _ = run_cli(
+                capsys, "bergman-eval", "--curve", G1_SPEC, "--u", f"2.0,0.0,1,{lam_u}", "--v", f"0.5,0.7,-1,{lam_v}"
+            )
+            assert code == 0
+            values.append(complex(*json.loads(out)["results"]["gram"]))
+        assert values[1] == pytest.approx(1e6 * (1e6 + 0.2j) * values[0], rel=1e-12, abs=0)
 
     @pytest.mark.parametrize(
-        "coeffs, c, u",
+        "coeffs, c, u, v",
         [
-            (G1_COEFFS, 1e-20, "2.0,0.0,1,1.0,0.0"),
-            (G1_COEFFS, 1e20, "2.0,0.0,1,1.0,0.0"),
-            (G4_COEFFS, 2.0**1006, "8.9,1.2,1,1,0"),
+            (G1_COEFFS, 1e-20, "2.0,0.0,1,1.0,0.0", "0.5,0.7,-1,0.3,-0.2"),
+            (G1_COEFFS, 1e20, "2.0,0.0,1,1.0,0.0", "0.5,0.7,-1,0.3,-0.2"),
+            (G4_COEFFS, 2.0**1006, "8.9,1.2,1,1,0", "0.5,0.7,-1,0.3,-0.2"),
+            (WIDE_COEFFS, 2.0**-997, "8.9e34,1.2e34,1,1,0", "0.5e34,0.7e34,-1,0.3,-0.2"),
         ],
-        ids=["1e-20", "1e+20", "roots-0..8-2^1006"],
+        ids=["1e-20", "1e+20", "roots-0..8-2^1006", "roots-1e34k-2^-997"],
     )
-    def test_f_times_constant_gives_the_same_kernel(self, capsys, coeffs, c, u):
+    def test_f_times_constant_gives_the_same_kernel(self, capsys, coeffs, c, u, v):
         # the branch-point exclusion is a distance in half-widths of the roots, which c does not move
-        argv = ["--u", u, "--v", "0.5,0.7,-1,0.3,-0.2"]
+        argv = ["--u", u, "--v", v]
         code, out, _ = run_cli(capsys, "bergman-eval", "--curve", scaled_spec(coeffs, c), *argv)
         assert code == 0
         _, ref, _ = run_cli(capsys, "bergman-eval", "--curve", scaled_spec(coeffs, 1), *argv)
-        values, ref_values = (
-            [complex(*val) for _, val in sorted(json.loads(text)["results"].items())] for text in (out, ref)
-        )
-        assert max_relative_gap(values, ref_values) <= 1e-12
-
-    def test_small_lead_on_large_roots(self, capsys):
-        # the "normalized" presentation in the monomial basis is about 5e-12 relative off the other two
-        # here (ROADMAP item 8), so c f is not compared with f as above; the spread check still holds
-        argv = ["--u", "8.9e34,1.2e34,1,1,0", "--v", "0.5e34,0.7e34,-1,0.3,-0.2"]
-        code, out, _ = run_cli(capsys, "bergman-eval", "--curve", scaled_spec(WIDE_COEFFS, 1e-300), *argv)
-        assert code == 0
-        assert json.loads(out)["pass"] is True
-
-    def test_spread_is_relative_on_small_values(self, capsys, monkeypatch):
-        # on the mirror curve the kernel values are near 5e-72: a doubled presentation must fail
-        def doubled(ctx, eu, ev, presentation, _fn=bergman.bergman_eval):
-            value = _fn(ctx, eu, ev, presentation)
-            return 2 * value if presentation == "normalized" else value
-
-        monkeypatch.setattr(bergman, "bergman_eval", doubled)
-        argv = ["--u", "8.9e34,1.2e34,1,1,0", "--v", "0.5e34,0.7e34,-1,0.3,-0.2"]
-        code, out, _ = run_cli(capsys, "bergman-eval", "--curve", scaled_spec(WIDE_COEFFS, 1e-300), *argv)
-        assert code == 1
-        assert json.loads(out)["pass"] is False
+        value, ref_value = (complex(*json.loads(text)["results"]["gram"]) for text in (out, ref))
+        assert max_relative_gap(value, ref_value) <= 1e-12
 
     # the kernel values overflow on purpose; no RuntimeWarning, one JSON error naming it
     def test_non_finite_report_is_input_error(self, capsys):
@@ -486,9 +484,8 @@ class TestVerifyCommands:
         [
             ["verify", "theorem-a", "--curve", G1_SPEC, "--trials", "5"],
             ["verify", "theorem-b", "--lattice", "1,0,0,1", "--samples", "5"],
-            ["bergman-eval", "--curve", G1_SPEC, "--u", "2.0,0.0,1,1.0,0.0", "--v", "0.5,0.7,-1,0.3,-0.2"],
         ],
-        ids=["theorem-a", "theorem-b", "bergman-eval"],
+        ids=["theorem-a", "theorem-b"],
     )
     def test_non_finite_tol_rejected(self, capsys, argv, tol):
         code, out, err = run_cli(capsys, *argv, "--tol", tol)
@@ -524,7 +521,7 @@ class TestVerifyCommands:
     ids=["bergman-eval", "theorem-a-one-block"],
 )
 def test_one_basis_evaluation_per_tangent_batch(capsys, monkeypatch, argv, batch):
-    # u and v are each evaluated once, as whole batches; every presentation and check reuses the values
+    # u and v are each evaluated once, as whole batches; the kernel and every check reuse the values
     calls = []
 
     def counting(curve, x, sheet=1, lam=1.0, _fn=periods.raw_differential_eval):
