@@ -1,4 +1,4 @@
-"""The fault table: which curve-side check flags which error in the periods.
+"""The fault tables: which check flags which error, on curves and on tori.
 
 Each fault is injected by monkeypatching a private function of ``periods``,
 or by an option, into the curve of genus g with roots 0, 1, ..., 2g; then
@@ -21,9 +21,16 @@ valid point of the curve.
 
 The README's "What each residual catches" table holds these verdicts, one
 row per verdict, and ``test_readme_table_is_the_verdicts`` checks it.
+
+The torus rows run ``verify theorem-b`` on two lattices with one fault
+injected into the lattice constants or into the zeta/p evaluators, and pin
+which printed residual exceeds its tolerance. The README's "What each
+theorem-B residual catches" table holds them, and
+``test_readme_b_table_is_the_flags`` checks it.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 from pathlib import Path
@@ -32,7 +39,7 @@ import numpy as np
 import pytest
 from conftest import random_siegel_point
 
-from curvekernel import cli, periods
+from curvekernel import cli, periods, torus, weierstrass
 
 REFUSED, FAILED, MISSED = "refused", "failed", "missed"
 #: The README's "flags a fault by" column, for each verdict.
@@ -137,15 +144,97 @@ def genera(verdicts, wanted) -> str:
     return "genus " + ", ".join(listed) if listed else "—"
 
 
-def test_readme_table_is_the_verdicts():
-    # the README names the checks in each row; its other columns are the verdicts of FAULTS, one row per verdict
+def readme_table(title) -> list[list[str]]:
+    """The cells of the first table under the README heading ``title``, header row first."""
     lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
-    section = lines[lines.index("### What each residual catches") :]
+    section = lines[lines.index(title) :]
     start = next(i for i, line in enumerate(section) if line.startswith("|"))
     header, _, *rows = itertools.takewhile(lambda line: line.startswith("|"), section[start:])
-    cells = [[cell.strip() for cell in line.strip("|").split("|")] for line in (header, *rows)]
+    return [[cell.strip() for cell in line.strip("|").split("|")] for line in (header, *rows)]
+
+
+def test_readme_table_is_the_verdicts():
+    # the README names the checks in each row; its other columns are the verdicts of FAULTS, one row per verdict
+    cells = readme_table("### What each residual catches")
     assert cells[0][1:] == ["flags a fault by", *(title for title, _, _ in FAULTS.values())]
     by = {text: name for name, text in VERDICT_TEXT.items()}
     assert sorted(by[row[1]] for row in cells[1:]) == sorted(VERDICT_TEXT)
     for row in cells[1:]:
         assert row[2:] == [genera(verdicts, by[row[1]]) for _, _, verdicts in FAULTS.values()], row[0]
+
+
+#: --lattice value -> README name; both are their own reduced pair, so eta2 is the reduced pair's.
+LATTICES = {"1,0,0.3,1.1": "(1, 0.3+1.1i)", "1,0,0,3.5": "(1, 3.5i)"}
+#: The residuals ``verify theorem-b`` compares with a tolerance: ``--tol`` (default 1e-8) and the fixed ``tol_fd``.
+B_TOLERANCES = {"max_residual_dbar": 1e-8, "max_residual_fd": 1e-5}
+
+
+def _faulty_lattice(monkeypatch, fault):
+    """``build_lattice`` with ``fault`` applied to the certified lattice it returns."""
+    monkeypatch.setattr(weierstrass, "build_lattice", lambda w1, w2, _fn=weierstrass.build_lattice: fault(_fn(w1, w2)))
+
+
+def _scaled_evaluator(monkeypatch, name, factor):
+    """The ``torus`` module's ``wp`` or ``wzeta`` with every value multiplied by ``factor``."""
+    monkeypatch.setattr(torus, name, lambda lat, z, _fn=getattr(torus, name): _fn(lat, z) * factor)
+
+
+def scale_c2(monkeypatch):
+    _faulty_lattice(monkeypatch, lambda lat: dataclasses.replace(lat, c2=lat.c2 * (1 + 1e-6)))
+
+
+def scale_wp(monkeypatch):
+    _scaled_evaluator(monkeypatch, "wp", 1 + 1e-4)
+
+
+def scale_zeta(monkeypatch):
+    _scaled_evaluator(monkeypatch, "wzeta", 1 + 1e-4)
+
+
+def scale_eta2(monkeypatch):
+    """eta2 off after the certificate, and c1, c2 solved from it as ``build_lattice`` solves them."""
+
+    def fault(lat):
+        eta_r1, eta_r2 = lat._eta_r[0], lat._eta_r[1] * (1 + 1e-9)
+        r1, r2 = lat._r1, lat._r2
+        c1, c2 = np.linalg.solve(np.array([[r1, np.conj(r1)], [r2, np.conj(r2)]]), np.array([eta_r1, eta_r2]))
+        return dataclasses.replace(lat, eta2=eta_r2, _eta_r=(eta_r1, eta_r2), c1=complex(c1), c2=complex(c2))
+
+    _faulty_lattice(monkeypatch, fault)
+
+
+#: fault id -> (README column title, injection, residuals that exceed their tolerance on every lattice)
+B_FAULTS = {
+    "c2": ("c2 × (1 + 1e-6)", scale_c2, {"max_residual_dbar"}),
+    "wp": ("℘ × (1 + 1e-4)", scale_wp, {"max_residual_fd"}),
+    "zeta": ("ζ × (1 + 1e-4)", scale_zeta, {"max_residual_fd"}),
+    "eta2": ("η2 × (1 + 1e-9), c1 and c2 re-solved", scale_eta2, set()),
+}
+
+
+@pytest.mark.parametrize("lattice", LATTICES)
+@pytest.mark.parametrize("fault", B_FAULTS)
+def test_b_fault_table(capsys, monkeypatch, fault, lattice):
+    _, inject, flagged = B_FAULTS[fault]
+    inject(monkeypatch)
+    argv = ["verify", "theorem-b", "--lattice", lattice]
+    code = cli.main(argv)
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert {name for name, tol in B_TOLERANCES.items() if report["residuals"][name] > tol} == flagged
+    assert (code, report["pass"]) == ((1, False) if flagged else (0, True))
+    # the fault reached the report: it is not what the lattice without it reports
+    monkeypatch.undo()
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out != out
+
+
+def test_readme_b_table_is_the_flags():
+    # one row per residual that B_TOLERANCES holds to a tolerance, then one for the faults nothing flags
+    cells = readme_table("### What each theorem-B residual catches")
+    assert cells[0][2:] == [title for title, _, _ in B_FAULTS.values()]
+    assert [row[0] for row in cells[1:]] == [f"`{name}`" for name in B_TOLERANCES] + ["nothing"]
+    for row in cells[1:]:
+        name = row[0].strip("`")
+        hits = [name in flags if name in B_TOLERANCES else not flags for _, _, flags in B_FAULTS.values()]
+        assert row[2:] == [", ".join(LATTICES.values()) if hit else "—" for hit in hits], row[0]
