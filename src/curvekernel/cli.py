@@ -94,7 +94,7 @@ def cmd_bergman_eval(args) -> tuple[dict, dict, bool]:
     ctx = bergman.context_from_periods(pd)
     u, v = _parse_point(args.u), _parse_point(args.v)
     with np.errstate(over="ignore", invalid="ignore"):
-        eu, ev = (periods.normalized_differential_eval(pd, *point) for point in (u, v))
+        eu, ev = periods.normalized_differential_eval(pd, *zip(u, v))
         value = bergman.bergman_eval(ctx, eu, ev)
     if not np.isfinite(value):
         raise ValueError(f"kernel value overflows float64 at |lam_u| = {abs(u[2]):.3g}, |lam_v| = {abs(v[2]):.3g}")
@@ -106,12 +106,12 @@ def cmd_verify_theorem_a(args) -> tuple[dict, dict, bool]:
     pd = _curve_periods(args)
     ctx = bergman.context_from_periods(pd)
     rng = np.random.default_rng(args.seed)
-    worst = np.zeros(4)  # max |lhs - rhs|, max |lhs|, |rhs|, max |pairing - claim|, max |claim|
+    worst = np.zeros(4)  # max |lhs - rhs|, max(max |lhs|, max |rhs|), max |pairing - claim|, max |claim|
     for start in range(0, args.trials, _TRIAL_BLOCK):
         n = min(_TRIAL_BLOCK, args.trials - start)
-        eu, ev = (periods.normalized_differential_eval(pd, *_random_tangents(pd.curve, rng, n)) for _ in range(2))
-        omega = rng.standard_normal((n, pd.g)) + 1j * rng.standard_normal((n, pd.g))
-        omega_prime = rng.standard_normal((n, pd.g)) + 1j * rng.standard_normal((n, pd.g))
+        eu, ev = periods.normalized_differential_eval(pd, *_random_tangents(pd.curve, rng, (2, n)))
+        re, im = rng.standard_normal((2, 2, n, pd.g))
+        omega, omega_prime = re + 1j * im
         lhs, rhs = torelli.theorem_a_check(ctx, omega, omega_prime, eu, ev)
         pairing, claim = torelli.qstar_against_kv_check(ctx, omega_prime, ev)
         worst = np.maximum(worst, [np.abs(a).max() for a in (lhs - rhs, [lhs, rhs], pairing - claim, claim)])
@@ -122,16 +122,16 @@ def cmd_verify_theorem_a(args) -> tuple[dict, dict, bool]:
     return {"trials": args.trials}, residuals, residuals["max_residual"] <= args.tol
 
 
-def _random_tangents(curve, rng, n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(x, sheet, lam) of n tangents, drawn in one pass on the curve's length r = ``curve.half_width``.
+def _random_tangents(curve, rng, size) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, sheet, lam) of tangents, arrays of shape ``size``, drawn in one pass on the curve's length r.
 
     Re x is uniform on [e_1 - r, e_d + r], Im x on [0.2 r, 1.2 r], |lam| on [0.1, 1], arg lam on [0, 2 pi), the
     sheet on {1, -1}. Every x is at least 0.2 r from every root; ``periods.BRANCH_EXCLUSION`` < 0.2, so none is refused.
     """
     r = curve.half_width
-    x = rng.uniform(curve.roots[0] - r, curve.roots[-1] + r, n) + 1j * r * rng.uniform(0.2, 1.2, n)
-    lam = rng.uniform(0.1, 1.0, n) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, n))
-    return x, np.where(rng.random(n) < 0.5, 1, -1), lam
+    x = rng.uniform(curve.roots[0] - r, curve.roots[-1] + r, size) + 1j * r * rng.uniform(0.2, 1.2, size)
+    lam = rng.uniform(0.1, 1.0, size) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, size))
+    return x, np.where(rng.random(size) < 0.5, 1, -1), lam
 
 
 def cmd_verify_theorem_b(args) -> tuple[dict, dict, bool]:
@@ -141,16 +141,9 @@ def cmd_verify_theorem_b(args) -> tuple[dict, dict, bool]:
     rng = np.random.default_rng(args.seed)
     samples = torus.random_samples(lat, args.samples, rng)
     report_b = torus.theorem_b_check(ev, samples, tol_d=args.tol, tol_dbar=args.tol, tol_fd=1e-5)
-    c2, claim = torus.dbar_potential_check(lat)
-    dbar_potential = abs(c2 - claim) * lat.scale**2
     results = {"samples": args.samples, "c2": _pairs(lat.c2)}
-    residuals = {
-        "max_residual_d": report_b.max_residual_d,
-        "max_residual_dbar": report_b.max_residual_dbar,
-        "max_residual_fd": report_b.max_residual_fd,
-        "dbar_potential": dbar_potential,
-    }
-    return results, residuals, report_b.passed and dbar_potential <= args.tol
+    residuals = {"max_residual_dbar": report_b.max_residual_dbar, "max_residual_fd": report_b.max_residual_fd}
+    return results, residuals, report_b.passed
 
 
 @functools.cache

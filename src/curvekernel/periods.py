@@ -231,9 +231,8 @@ def compute_periods(curve: HyperellipticCurve, quad_order: int = 64) -> "PeriodD
 
 
 def _period_data(curve, A, B, quad_order) -> "PeriodData":
-    try:
-        Z = np.linalg.solve(A, B)
-        N = np.linalg.inv(A)
+    try:  # one LU of A gives Z = A^-1 B and N = A^-1, bit for bit what solve(A, B) and inv(A) give
+        Z, N = np.hsplit(np.linalg.solve(A, np.hstack([B, np.eye(len(A))])), 2)
     except np.linalg.LinAlgError as err:
         raise SingularSystemError("a-period matrix is singular") from err
     residual, min_eig = siegel_residuals(Z)

@@ -140,7 +140,7 @@ def theorem_b_check(
     zp, zq, lam_u, lam_v = np.asarray(samples, dtype=complex).T
     eta = eta_hat_eval(ev, zp, zq, lam_u, lam_v)
     # eta(q, p) equals eta(p, q) bit for bit, p being even, so the d-side 2 eta(p, q) - eta(q, p)
-    # misses eta(p, q) by 0; the field stays for the CLI report and curvebench
+    # misses eta(p, q) by 0; the field stays for curvebench, and the CLI report leaves it out
     residual_d = np.zeros(len(zp))
     dbar_side = -lat.c2 * lam_u * np.conj(lam_v)
     kernel_side = -2 * np.pi * torus_kernel(lat, lam_u, lam_v)

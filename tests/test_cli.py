@@ -284,9 +284,9 @@ class TestVerifyCommands:
         for scaled_coeffs in (coeffs, [c * a for a in coeffs]):
             pd = periods.compute_periods(periods.build_curve(scaled_coeffs))
             rng = np.random.default_rng(3)
-            u, v = (cli._random_tangents(pd.curve, rng, 50) for _ in range(2))
-            eu, ev = periods.normalized_differential_eval(pd, *u), periods.normalized_differential_eval(pd, *v)
-            omega, omega_prime = rng.standard_normal((2, 50, pd.g)) + 1j * rng.standard_normal((2, 50, pd.g))
+            eu, ev = periods.normalized_differential_eval(pd, *cli._random_tangents(pd.curve, rng, (2, 50)))
+            re, im = rng.standard_normal((2, 2, 50, pd.g))
+            omega, omega_prime = re + 1j * im
             sides.append(torelli.theorem_a_check(bergman.context_from_periods(pd), omega, omega_prime, eu, ev))
         for scaled, ref in zip(sides[1], sides[0]):
             assert max_relative_gap(scaled, ref) <= 1e-12
@@ -515,15 +515,17 @@ class TestVerifyCommands:
 
 
 @pytest.mark.parametrize(
-    "argv, batch",
+    "argv, batches",
     [
-        (["bergman-eval", "--curve", G2_SPEC, "--u", "0.5,0.3,1,1.0,0.0", "--v", "2.5,0.4,-1,0.3,0.2"], ()),
-        (["verify", "theorem-a", "--curve", G2_SPEC, "--trials", "100"], (100,)),
+        (["bergman-eval", "--curve", G2_SPEC, "--u", "0.5,0.3,1,1.0,0.0", "--v", "2.5,0.4,-1,0.3,0.2"], [(2,)]),
+        (["verify", "theorem-a", "--curve", G2_SPEC, "--trials", "100"], [(2, 100)]),
+        (["verify", "theorem-a", "--curve", G2_SPEC, "--trials", "5000"], [(2, 4096), (2, 904)]),
     ],
-    ids=["bergman-eval", "theorem-a-one-block"],
+    ids=["bergman-eval", "theorem-a-one-block", "theorem-a-two-blocks"],
 )
-def test_one_basis_evaluation_per_tangent_batch(capsys, monkeypatch, argv, batch):
-    # u and v are each evaluated once, as whole batches; the kernel and every check reuse the values
+def test_one_basis_evaluation_per_tangent_batch(capsys, monkeypatch, argv, batches):
+    # u and v are evaluated together, one call per command or per block of trials; the kernel and every check
+    # reuse the values
     calls = []
 
     def counting(curve, x, sheet=1, lam=1.0, _fn=periods.raw_differential_eval):
@@ -533,7 +535,7 @@ def test_one_basis_evaluation_per_tangent_batch(capsys, monkeypatch, argv, batch
     monkeypatch.setattr(periods, "raw_differential_eval", counting)
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert calls == [batch, batch]
+    assert calls == batches
 
 
 class TestDeterminism:

@@ -62,6 +62,15 @@ def scaled_roots_0_to_8(s, lead) -> list[float]:
     return [float(c * Fraction(s) ** (9 - j) * Fraction(lead)) for j, c in enumerate(exact)]
 
 
+def drawn_coeffs(rng, d, sign) -> np.ndarray:
+    """Ascending coefficients of a degree-d curve, roots and |lead| drawn as curvebench's curve-verify draws them."""
+    roots = np.arange(d) + rng.uniform(-0.3, 0.3, size=d)
+    roots -= roots.mean()
+    roots *= rng.uniform(1.0, 3.0) / np.abs(roots).max()
+    lead = sign * np.exp(rng.uniform(np.log(0.5), np.log(2.0)))
+    return lead * np.polynomial.polynomial.polyfromroots(roots)
+
+
 class TestBuildCurve:
     def test_cubic(self, g1_curve):
         assert g1_curve.g == 1
@@ -314,17 +323,37 @@ class TestComputePeriods:
     @pytest.mark.parametrize("extra", [0, 1], ids=["odd", "even"])
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["lead+", "lead-"])
     def test_against_adaptive_oracle_genus_1_to_8(self, g, extra, sign):
-        # roots drawn as curvebench's curve-verify draws them, at the default order
-        d = 2 * g + 1 + extra
-        rng = np.random.default_rng([17, g, extra])
-        roots = np.arange(d) + rng.uniform(-0.3, 0.3, size=d)
-        roots -= roots.mean()
-        roots *= rng.uniform(1.0, 3.0) / np.abs(roots).max()
-        lead = sign * np.exp(rng.uniform(np.log(0.5), np.log(2.0)))
-        curve = periods.build_curve(lead * np.polynomial.polynomial.polyfromroots(roots))
+        # at the default order
+        curve = periods.build_curve(drawn_coeffs(np.random.default_rng([17, g, extra]), 2 * g + 1 + extra, sign))
         pd = periods.compute_periods(curve)
         for got, ref in zip((pd.A, pd.B, pd.Z), oracle_periods(curve, g)):
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_one_factorization_gives_solve_and_inv(self, g1_pd, g2_pd):
+        # Z and N come from one LU of A, and are bit for bit what solve(A, B) and inv(A) give: on the README and CI
+        # curves, on 32 curves drawn as curve-verify draws them (genus 1-8, both parities), and after a change of cycles
+        rng = np.random.default_rng(7)
+        drawn = [drawn_coeffs(rng, 2 * g + 1 + extra, rng.choice([-1.0, 1.0])) for _ in range(2) for g in range(1, 9)
+                 for extra in (0, 1)]
+        pds = [g1_pd, g2_pd] + [periods.compute_periods(periods.build_curve(coeffs)) for coeffs in drawn]
+        shear = np.block([[np.eye(2), np.eye(2)], [np.zeros((2, 2)), np.eye(2)]])
+        pds.append(periods.transform_cycles(g2_pd, shear))
+        for pd in pds:
+            assert np.array_equal(pd.Z, np.linalg.solve(pd.A, pd.B))
+            assert np.array_equal(pd.N, np.linalg.inv(pd.A))
+
+    def test_one_factorization_per_period_matrix(self, monkeypatch, g2_curve):
+        # Z and N are one solve with A on the left; no second solve or inverse factors A again
+        calls = []
+        for name in ("solve", "inv"):
+
+            def counted(*args, _name=name, _fn=getattr(np.linalg, name)):
+                calls.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        periods.compute_periods(g2_curve)
+        assert calls == ["solve"]
 
     def test_riemann_certificate_g2(self, g2_pd):
         assert g2_pd.riemann_residual <= 1e-8
