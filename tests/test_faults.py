@@ -27,6 +27,14 @@ injected into the lattice constants or into the zeta/p evaluators, and pin
 which printed residual exceeds its tolerance. The README's "What each
 theorem-B residual catches" table holds them, and
 ``test_readme_b_table_is_the_flags`` checks it.
+
+The theorem-A rows run ``verify theorem-a`` on the genus-2 curve with roots
+0..4 with one code fault injected into a function that ``torelli`` calls:
+the Q* pairing, the reproducing element, the period vectors, the kernel or
+the cup. ``torelli`` imports the first four by name, so each is patched
+where ``torelli`` looks it up. The rows pin which printed residual exceeds
+``--tol``; the README's "What each theorem-A residual catches" table holds
+them with each reading, and ``test_readme_a_table_is_the_flags`` checks it.
 """
 from __future__ import annotations
 
@@ -39,7 +47,7 @@ import numpy as np
 import pytest
 from conftest import random_siegel_point
 
-from curvekernel import cli, periods, torus, weierstrass
+from curvekernel import cli, periods, torelli, torus, weierstrass
 
 REFUSED, FAILED, MISSED = "refused", "failed", "missed"
 #: The README's "flags a fault by" column, for each verdict.
@@ -238,3 +246,85 @@ def test_readme_b_table_is_the_flags():
         name = row[0].strip("`")
         hits = [name in flags if name in B_TOLERANCES else not flags for _, _, flags in B_FAULTS.values()]
         assert row[2:] == [", ".join(LATTICES.values()) if hit else "—" for hit in hits], row[0]
+
+
+#: The theorem-A curve: roots 0..4, x(x-1)(x-2)(x-3)(x-4); default trials (100), seed and ``--tol`` (1e-8).
+A_SPEC = json.dumps({"type": "hyperelliptic", "f_coeffs": list(np.polynomial.polynomial.polyfromroots(_roots(2)))})
+A_TOL = 1e-8
+
+
+def _wrapped(monkeypatch, module, name, fault):
+    """``module.name`` with ``fault`` applied to each value it returns."""
+    monkeypatch.setattr(module, name, lambda *args, _fn=getattr(module, name): fault(_fn(*args)))
+
+
+def _scaled_b_half(pv):
+    pv = pv.copy()
+    pv[..., pv.shape[-1] // 2 :] *= 1 + 1e-6
+    return pv
+
+
+#: fault id -> (README column title, function of ``torelli`` and the fault on its value, residuals above ``--tol``)
+A_FAULTS = {
+    "qstar-negated": ("Q* × (−1)", ("qstar_pairing", np.negative), {"max_residual", "max_pairing_residual"}),
+    "qstar-scaled": (
+        "Q* × (1 + 1e-6)",
+        ("qstar_pairing", lambda v: v * (1 + 1e-6)),
+        {"max_residual", "max_pairing_residual"},
+    ),
+    "ku-unconjugated": ("k_u without conj", ("reproducing_element", np.conj), {"max_residual", "max_pairing_residual"}),
+    "ku-scaled": (
+        "k_u × (1 + 1e-6)",
+        ("reproducing_element", lambda v: v * (1 + 1e-6)),
+        {"max_residual", "max_pairing_residual"},
+    ),
+    "pv-scaled": (
+        "period vectors × (1 + 1e-6)",
+        ("class_period_vector", lambda v: v * (1 + 1e-6)),
+        {"max_residual", "max_pairing_residual"},
+    ),
+    "b-half-scaled": (
+        "b-half × (1 + 1e-6)",
+        ("class_period_vector", _scaled_b_half),
+        {"max_residual", "max_pairing_residual"},
+    ),
+    "kernel-scaled": ("kernel × (1 + 1e-6)", ("bergman_eval", lambda v: v * (1 + 1e-6)), {"max_residual"}),
+    "kernel-conjugated": ("kernel conjugated", ("bergman_eval", np.conj), {"max_residual"}),
+    "cup-scaled": ("cup × (1 + 1e-6)", ("schiffer_cup", lambda v: v * (1 + 1e-6)), {"max_residual"}),
+}
+#: The residuals of ``verify theorem-a``, in the README's row order.
+A_RESIDUALS = ("max_residual", "max_pairing_residual")
+
+
+def a_cell(report, name) -> str:
+    """A README cell: the residual's reading to two digits when it exceeds ``--tol``, else a dash."""
+    value = report["residuals"][name]
+    return f"{value:.2g}".replace("e-0", "e-") if value > A_TOL else "—"
+
+
+@pytest.mark.parametrize("fault", A_FAULTS)
+def test_a_fault_table(capsys, monkeypatch, fault):
+    title, (target, wrong), flagged = A_FAULTS[fault]
+    _wrapped(monkeypatch, torelli, target, wrong)
+    code = cli.main(["verify", "theorem-a", "--curve", A_SPEC])
+    report = json.loads(capsys.readouterr().out)
+    assert {name for name in A_RESIDUALS if report["residuals"][name] > A_TOL} == flagged
+    # the verdict reads max_residual alone, and every fault here moves it above --tol
+    assert (code, report["pass"]) == (1, False)
+    # the fault's README column: each residual's reading, and no mark in the row of faults nothing flags
+    cells = readme_table("### What each theorem-A residual catches")
+    column = [row[cells[0].index(title)] for row in cells[1:]]
+    assert column == [a_cell(report, name) for name in A_RESIDUALS] + ["—"]
+
+
+def test_a_residuals_without_a_fault(capsys):
+    assert cli.main(["verify", "theorem-a", "--curve", A_SPEC]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert all(report["residuals"][name] <= A_TOL for name in A_RESIDUALS)
+
+
+def test_readme_a_table_rows():
+    # one column per fault, one row per printed residual, then one for the faults nothing flags
+    cells = readme_table("### What each theorem-A residual catches")
+    assert cells[0][2:] == [title for title, _, _ in A_FAULTS.values()]
+    assert [row[0] for row in cells[1:]] == [f"`{name}`" for name in A_RESIDUALS] + ["nothing"]
