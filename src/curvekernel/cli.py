@@ -102,24 +102,20 @@ def cmd_bergman_eval(args) -> tuple[dict, dict, bool]:
 
 
 def cmd_verify_theorem_a(args) -> tuple[dict, dict, bool]:
-    """Both residuals are relative: each to the largest |side| it compares over all trials."""
+    """The residual is relative: max |lhs - rhs| over the largest |lhs|, |rhs| of all trials."""
     pd = _curve_periods(args)
     ctx = bergman.context_from_periods(pd)
     rng = np.random.default_rng(args.seed)
-    worst = np.zeros(4)  # max |lhs - rhs|, max(max |lhs|, max |rhs|), max |pairing - claim|, max |claim|
+    worst = np.zeros(2)  # max |lhs - rhs|, max(max |lhs|, max |rhs|)
     for start in range(0, args.trials, _TRIAL_BLOCK):
         n = min(_TRIAL_BLOCK, args.trials - start)
         eu, ev = periods.normalized_differential_eval(pd, *_random_tangents(pd.curve, rng, (2, n)))
         re, im = rng.standard_normal((2, 2, n, pd.g))
         omega, omega_prime = re + 1j * im
         lhs, rhs = torelli.theorem_a_check(ctx, omega, omega_prime, eu, ev)
-        pairing, claim = torelli.qstar_against_kv_check(ctx, omega_prime, ev)
-        worst = np.maximum(worst, [np.abs(a).max() for a in (lhs - rhs, [lhs, rhs], pairing - claim, claim)])
-    residuals = {
-        "max_residual": float(worst[0] / worst[1]),
-        "max_pairing_residual": float(worst[2] / worst[3]),
-    }
-    return {"trials": args.trials}, residuals, residuals["max_residual"] <= args.tol
+        worst = np.maximum(worst, [np.abs(lhs - rhs).max(), np.abs([lhs, rhs]).max()])
+    residual = float(worst[0] / worst[1])
+    return {}, {"max_residual": residual}, residual <= args.tol
 
 
 def _random_tangents(curve, rng, size) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -141,9 +137,8 @@ def cmd_verify_theorem_b(args) -> tuple[dict, dict, bool]:
     rng = np.random.default_rng(args.seed)
     samples = torus.random_samples(lat, args.samples, rng)
     report_b = torus.theorem_b_check(ev, samples, tol_d=args.tol, tol_dbar=args.tol, tol_fd=1e-5)
-    results = {"samples": args.samples, "c2": _pairs(lat.c2)}
     residuals = {"max_residual_dbar": report_b.max_residual_dbar, "max_residual_fd": report_b.max_residual_fd}
-    return results, residuals, report_b.passed
+    return {"c2": _pairs(lat.c2)}, residuals, report_b.passed
 
 
 @functools.cache

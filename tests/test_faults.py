@@ -32,9 +32,9 @@ The theorem-A rows run ``verify theorem-a`` on the genus-2 curve with roots
 0..4 with one code fault injected into a function that ``torelli`` calls:
 the Q* pairing, the reproducing element, the period vectors, the kernel or
 the cup. ``torelli`` imports the first four by name, so each is patched
-where ``torelli`` looks it up. The rows pin which printed residual exceeds
-``--tol``; the README's "What each theorem-A residual catches" table holds
-them with each reading, and ``test_readme_a_table_is_the_flags`` checks it.
+where ``torelli`` looks it up. The README's "What each theorem-A residual
+catches" table holds the reading of each printed residual that exceeds
+``--tol``, and ``test_a_fault_table`` checks each fault's column of it.
 """
 from __future__ import annotations
 
@@ -264,36 +264,20 @@ def _scaled_b_half(pv):
     return pv
 
 
-#: fault id -> (README column title, function of ``torelli`` and the fault on its value, residuals above ``--tol``)
+#: fault id -> (README column title, function of ``torelli``, the fault on its value)
 A_FAULTS = {
-    "qstar-negated": ("Q* × (−1)", ("qstar_pairing", np.negative), {"max_residual", "max_pairing_residual"}),
-    "qstar-scaled": (
-        "Q* × (1 + 1e-6)",
-        ("qstar_pairing", lambda v: v * (1 + 1e-6)),
-        {"max_residual", "max_pairing_residual"},
-    ),
-    "ku-unconjugated": ("k_u without conj", ("reproducing_element", np.conj), {"max_residual", "max_pairing_residual"}),
-    "ku-scaled": (
-        "k_u × (1 + 1e-6)",
-        ("reproducing_element", lambda v: v * (1 + 1e-6)),
-        {"max_residual", "max_pairing_residual"},
-    ),
-    "pv-scaled": (
-        "period vectors × (1 + 1e-6)",
-        ("class_period_vector", lambda v: v * (1 + 1e-6)),
-        {"max_residual", "max_pairing_residual"},
-    ),
-    "b-half-scaled": (
-        "b-half × (1 + 1e-6)",
-        ("class_period_vector", _scaled_b_half),
-        {"max_residual", "max_pairing_residual"},
-    ),
-    "kernel-scaled": ("kernel × (1 + 1e-6)", ("bergman_eval", lambda v: v * (1 + 1e-6)), {"max_residual"}),
-    "kernel-conjugated": ("kernel conjugated", ("bergman_eval", np.conj), {"max_residual"}),
-    "cup-scaled": ("cup × (1 + 1e-6)", ("schiffer_cup", lambda v: v * (1 + 1e-6)), {"max_residual"}),
+    "qstar-negated": ("Q* × (−1)", "qstar_pairing", np.negative),
+    "qstar-scaled": ("Q* × (1 + 1e-6)", "qstar_pairing", lambda v: v * (1 + 1e-6)),
+    "ku-unconjugated": ("k_u without conj", "reproducing_element", np.conj),
+    "ku-scaled": ("k_u × (1 + 1e-6)", "reproducing_element", lambda v: v * (1 + 1e-6)),
+    "pv-scaled": ("period vectors × (1 + 1e-6)", "class_period_vector", lambda v: v * (1 + 1e-6)),
+    "b-half-scaled": ("b-half × (1 + 1e-6)", "class_period_vector", _scaled_b_half),
+    "kernel-scaled": ("kernel × (1 + 1e-6)", "bergman_eval", lambda v: v * (1 + 1e-6)),
+    "kernel-conjugated": ("kernel conjugated", "bergman_eval", np.conj),
+    "cup-scaled": ("cup × (1 + 1e-6)", "schiffer_cup", lambda v: v * (1 + 1e-6)),
 }
-#: The residuals of ``verify theorem-a``, in the README's row order.
-A_RESIDUALS = ("max_residual", "max_pairing_residual")
+#: The residuals ``verify theorem-a`` prints, in the README's row order.
+A_RESIDUALS = ("max_residual",)
 
 
 def a_cell(report, name) -> str:
@@ -304,12 +288,13 @@ def a_cell(report, name) -> str:
 
 @pytest.mark.parametrize("fault", A_FAULTS)
 def test_a_fault_table(capsys, monkeypatch, fault):
-    title, (target, wrong), flagged = A_FAULTS[fault]
+    title, target, wrong = A_FAULTS[fault]
     _wrapped(monkeypatch, torelli, target, wrong)
     code = cli.main(["verify", "theorem-a", "--curve", A_SPEC])
     report = json.loads(capsys.readouterr().out)
-    assert {name for name in A_RESIDUALS if report["residuals"][name] > A_TOL} == flagged
-    # the verdict reads max_residual alone, and every fault here moves it above --tol
+    assert tuple(report["residuals"]) == A_RESIDUALS
+    # every fault here moves max_residual, the residual the verdict reads, above --tol
+    assert report["residuals"]["max_residual"] > A_TOL
     assert (code, report["pass"]) == (1, False)
     # the fault's README column: each residual's reading, and no mark in the row of faults nothing flags
     cells = readme_table("### What each theorem-A residual catches")
