@@ -23,9 +23,9 @@ factors |x - e_l| off each segment are one product over the root axis of a
 product (``np.multiply.accumulate``) over k, with no ``pow``; and (A | B) is
 the segment table times a fixed 0/2 cycle incidence matrix. At a point,
 y = sqrt f(x) is sqrt|lead| * sqrt(sign(lead) prod (x - e_l)) over the sorted
-roots, the factors the kernel uses; the product runs in units of a power of
-two at least max(|x|, max|e_l|), so neither the leading coefficient nor the
-size of x or of the roots can overflow it where y itself is finite.
+roots. Both products run in units of a power of four at least max|e_l|, and
+|x| at a point; the kernel's takes |lead| in units of its own. So neither the
+leading coefficient nor the size of x or of the roots overflows them.
 
 None of this bookkeeping is trusted blindly: every computed period matrix
 must pass the Riemann certificate ``symplectic.siegel_residuals`` (Z symmetric,
@@ -190,14 +190,17 @@ def _segment_integrals(curve: HyperellipticCurve, order: int) -> np.ndarray:
     t, weight = _chebyshev_nodes(order)
     a, b = e[:-1, None], e[1:, None]
     x = 0.5 * (a + b) + 0.5 * (b - a) * t
-    # dist[l, m] = |x - e_l| on segment m, with the segment's own ends set to 1;
-    # the root and power axes lead, so each product runs over whole contiguous planes
-    dist = x - e[:, None, None]
+    # dist[l, m] = |x - e_l| on segment m in units of 4^k >= max|e_l|, as sqrt_f takes it, with the segment's
+    # own ends set to 1; the root and power axes lead, so each product runs over whole contiguous planes
+    k = (np.frexp(max(-e[0], e[-1]))[1] + 1) // 2
+    dist = np.ldexp(x, -2 * k) - np.ldexp(e, -2 * k)[:, None, None]
     np.abs(dist, out=dist)
     seg = np.arange(d - 1)
     dist[seg, seg] = 1.0
     dist[seg + 1, seg] = 1.0
-    base = 1.0 / np.sqrt(abs(curve.leading) * dist.prod(axis=0))
+    # |lead| in units of 4^j: no product overflows, and ldexp puts both units back exactly after the square root
+    j = np.frexp(abs(curve.leading))[1] // 2
+    base = np.ldexp(1.0 / np.sqrt(np.ldexp(abs(curve.leading), -2 * j) * dist.prod(axis=0)), -j - k * (d - 2))
     # moments[k, m] = x^k * base on segment m, k = 0..g-1, as one running product over k
     moments = np.empty((curve.g, d - 1, order))
     moments[0] = base

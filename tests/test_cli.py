@@ -24,6 +24,14 @@ G4_COEFFS = [0, 40320, -109584, 118124, -67284, 22449, -4536, 546, -36, 1]
 WIDE_COEFFS = list(np.polynomial.polynomial.polyfromroots(1e34 * np.arange(9)))
 #: (s, c) of the curves c prod (x - s k), k = 0..8, that the CI theorem-A step runs
 SCALED_0_TO_8 = [(1, 1e303), (1e34, 1e-300), (1e-38, 1e280)]
+#: (roots, lead) of curves lead * prod(x - e_l) whose coefficients are finite and reach 1e308: the 2e305 curve on
+#: roots -4..4, roots -g..g with the largest coefficient 1.7e308 (genus 2-8), and lead 1e308 on roots within 0.9
+LARGEST_COEFFS = (
+    [(np.arange(-4.0, 5.0), 2e305)]
+    + [(roots, 1.7e308 / np.abs(np.polynomial.polynomial.polyfromroots(roots)).max())
+       for roots in (np.arange(-g, g + 1.0) for g in range(2, 9))]
+    + [((-0.9, -0.45, 0.0, 0.45, 0.9), 1e308)]
+)
 #: One call of each of the five commands, for the tests of every report.
 REPORT_ARGV = pytest.mark.parametrize(
     "argv",
@@ -293,6 +301,23 @@ class TestVerifyCommands:
         for scaled, ref in zip(sides[1], sides[0]):
             assert max_relative_gap(scaled, ref) <= 1e-12
         code, out, _ = run_cli(capsys, "verify", "theorem-a", "--curve", scaled_spec(coeffs, c), "--trials", "100")
+        assert code == 0
+        assert json.loads(out)["pass"] is True
+
+    @pytest.mark.parametrize(
+        "roots, lead", LARGEST_COEFFS, ids=["2e305-g4"] + [f"1.7e308-g{g}" for g in range(2, 9)] + ["1e308-g2"]
+    )
+    def test_largest_finite_coefficients(self, capsys, roots, lead):
+        # lead * prod |x - e_l| off a segment overflows unless taken in units: the curve certifies, passes theorem A
+        # with no RuntimeWarning, and has the Z of the monic curve on its roots
+        monic = np.polynomial.polynomial.polyfromroots(roots)
+        spec = json.dumps({"type": "hyperelliptic", "f_coeffs": list(lead * monic)})
+        code, out, _ = run_cli(capsys, "periods", "--curve", spec)
+        assert code == 0
+        Z = np.array(json.loads(out)["results"]["Z"]) @ [1, 1j]
+        ref = periods.compute_periods(periods.build_curve(monic)).Z
+        assert max_relative_gap(Z, ref) <= 1e-13
+        code, out, _ = run_cli(capsys, "verify", "theorem-a", "--curve", spec)
         assert code == 0
         assert json.loads(out)["pass"] is True
 
