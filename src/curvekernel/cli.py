@@ -7,8 +7,8 @@ printed as one line of compact JSON with sorted keys. ``inputs`` are the
 command's parsed options, defaults included, with the curve spec loaded.
 Matrices are row-major nested arrays of [re, im] pairs. ``--format csv``
 prints the rows of the command's matrix instead. Exit codes: 0 success / all
-residuals within tolerance, 1 verification failure, 2 input error or a report
-holding NaN or Infinity (nothing is printed to stdout then).
+residuals within tolerance, 1 verification failure, 2 input error, an option too
+large for memory or a report holding NaN or Infinity (stdout stays empty then).
 """
 from __future__ import annotations
 
@@ -211,7 +211,7 @@ def main(argv=None) -> int:
                 "pass": bool(ok),
             }
             print(json.dumps(report, sort_keys=True, allow_nan=False))
-    except (CurveKernelError, json.JSONDecodeError, OSError, ValueError) as err:
+    except (CurveKernelError, json.JSONDecodeError, MemoryError, OSError, ValueError) as err:
         print(json.dumps({"error": f"{type(err).__name__}: {err}"}), file=sys.stderr)
         return 2
     return 0 if ok else 1

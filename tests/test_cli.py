@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import bergman_oracle as oracle
-from curvekernel import bergman, cli, periods, torelli
+from curvekernel import bergman, cli, periods, torelli, torus
 
 G1_SPEC = '{"type": "hyperelliptic", "f_coeffs": [0, -1, 0, 1]}'
 G2_SPEC = '{"type": "hyperelliptic", "f_coeffs": [0, 24, -50, 35, -10, 1]}'
@@ -517,6 +517,27 @@ class TestVerifyCommands:
         assert code == 2
         assert out == ""
         assert refusal in err
+
+    @pytest.mark.parametrize(
+        "module, name, argv",
+        [
+            (torus, "random_samples", ["verify", "theorem-b", "--lattice", "1,0,0,1", "--samples", "100000000"]),
+            (periods, "_segment_integrals", ["verify", "theorem-a", "--curve", G1_SPEC, "--quad-order", "100000000"]),
+        ],
+        ids=["samples", "quad-order"],
+    )
+    def test_oversized_option_is_input_error(self, capsys, monkeypatch, module, name, argv):
+        # an allocation too large for memory is the option's fault, not a failed verification (exit 1);
+        # the patched function raises what numpy raises there, without allocating
+        def refuse(*args):
+            raise MemoryError("Unable to allocate 7.45 GiB for an array")
+
+        monkeypatch.setattr(module, name, refuse)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"].startswith("MemoryError:")
 
     @pytest.mark.parametrize("bad", ["NaN", "Infinity", "1" + "0" * 400], ids=["NaN", "Infinity", "int-1e400"])
     def test_non_finite_coefficients_are_input_error(self, capsys, bad):
