@@ -192,15 +192,16 @@ def _segment_integrals(curve: HyperellipticCurve, order: int) -> np.ndarray:
     x = 0.5 * (a + b) + 0.5 * (b - a) * t
     # dist[l, m] = |x - e_l| on segment m in units of 4^k >= max|e_l|, as sqrt_f takes it, with the segment's
     # own ends set to 1; the root and power axes lead, so each product runs over whole contiguous planes
-    k = (np.frexp(max(-e[0], e[-1]))[1] + 1) // 2
-    dist = np.ldexp(x, -2 * k) - np.ldexp(e, -2 * k)[:, None, None]
+    k = (math.frexp(max(-e[0], e[-1]))[1] + 1) // 2
+    unit = np.ldexp(1.0, -2 * k)
+    dist = x * unit - (e * unit)[:, None, None]
     np.abs(dist, out=dist)
     seg = np.arange(d - 1)
     dist[seg, seg] = 1.0
     dist[seg + 1, seg] = 1.0
     # |lead| in units of 4^j: no product overflows, and ldexp puts both units back exactly after the square root
-    j = np.frexp(abs(curve.leading))[1] // 2
-    base = np.ldexp(1.0 / np.sqrt(np.ldexp(abs(curve.leading), -2 * j) * dist.prod(axis=0)), -j - k * (d - 2))
+    j = math.frexp(abs(curve.leading))[1] // 2
+    base = np.ldexp(1.0 / np.sqrt(math.ldexp(abs(curve.leading), -2 * j) * dist.prod(axis=0)), -j - k * (d - 2))
     # moments[k, m] = x^k * base on segment m, k = 0..g-1, as one running product over k
     moments = np.empty((curve.g, d - 1, order))
     moments[0] = base
