@@ -253,11 +253,6 @@ A_SPEC = json.dumps({"type": "hyperelliptic", "f_coeffs": list(np.polynomial.pol
 A_TOL = 1e-8
 
 
-def _wrapped(monkeypatch, module, name, fault):
-    """``module.name`` with ``fault`` applied to each value it returns."""
-    monkeypatch.setattr(module, name, lambda *args, _fn=getattr(module, name): fault(_fn(*args)))
-
-
 def _scaled_b_half(pv):
     pv = pv.copy()
     pv[..., pv.shape[-1] // 2 :] *= 1 + 1e-6
@@ -289,7 +284,7 @@ def a_cell(report, name) -> str:
 @pytest.mark.parametrize("fault", A_FAULTS)
 def test_a_fault_table(capsys, monkeypatch, fault):
     title, target, wrong = A_FAULTS[fault]
-    _wrapped(monkeypatch, torelli, target, wrong)
+    monkeypatch.setattr(torelli, target, lambda *args, _fn=getattr(torelli, target): wrong(_fn(*args)))
     code = cli.main(["verify", "theorem-a", "--curve", A_SPEC])
     report = json.loads(capsys.readouterr().out)
     assert tuple(report["residuals"]) == A_RESIDUALS
